@@ -11,25 +11,20 @@ discrete set of (delta, Lambda) points, located by ``find_optimal_pairs``.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConfigError, SingularSystemError, UndefinedCorrelationError
 from .model import SystemParams
 
-logger = logging.getLogger(__name__)
-
 _SQRT2 = np.sqrt(2.0)
 
-# Newton stage of the optimal-pair search
-_NEWTON_MAX_ITER = 100
-_NEWTON_FD_STEP = 1e-7          # relative finite-difference step
-_NEWTON_RESIDUAL_TOL = 1e-12    # |c02| convergence threshold
-_NEWTON_DAMPING = 0.5           # step shrink factor on residual increase
-_DEDUP_TOL = 1e-6               # root merge distance, in omega_b units
+# optimal-pair search
+_SCAN_POINTS = 401              # delta samples bracketing the roots
+_RESIDUAL_TOL = 1e-10           # accepted |c02| at a root, relative to |a|
 
 
 @dataclass(frozen=True)
@@ -77,29 +72,16 @@ def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
     The one-excitation block drops the drive feedback from the
     two-excitation amplitudes; the two-excitation block is then sourced by
     the one-excitation solution and the direct pair term of the amplifier.
+    Both blocks are read from ``_coefficient_matrix``.
     """
-    d_a = params.delta - 0.5j * params.gamma       # complex cavity detuning
-    d_m = params.delta - 0.5j * params.gamma       # complex magnon detuning
-    drive = params.E
-    pair = 1j * _SQRT2 * params.Lambda * np.exp(1j * params.beta)
-
-    one_exc = np.array([
-        [d_m + params.K, params.J],
-        [params.J, d_a + params.delta_F],
-    ])
+    M = _coefficient_matrix(params)
     try:
-        c10, c01 = np.linalg.solve(one_exc, [0.0, -drive])
+        c10, c01 = np.linalg.solve(M[1:3, 1:3], -M[1:3, 0])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("one-excitation block is singular") from exc
-
-    two_exc = np.array([
-        [d_a + params.delta_F + d_m + params.K, _SQRT2 * params.J, _SQRT2 * params.J],
-        [_SQRT2 * params.J, 2.0 * (d_a + params.delta_F), 0.0],
-        [_SQRT2 * params.J, 0.0, 2.0 * (d_m + 2.0 * params.K)],
-    ])
-    source = np.array([-drive * c10, -_SQRT2 * drive * c01 - pair, 0.0])
+    source = -(M[3:6, 0] + M[3:6, 1:3] @ [c10, c01])
     try:
-        c11, c02, c20 = np.linalg.solve(two_exc, source)
+        c11, c02, c20 = np.linalg.solve(M[3:6, 3:6], source)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("two-excitation block is singular") from exc
 
@@ -114,98 +96,54 @@ def g2_analytic(params: SystemParams) -> float:
     return 2.0 * abs(amps.c02) ** 2 / abs(amps.c01) ** 4
 
 
-def _c02(params: SystemParams, delta: float, lam: float) -> complex:
-    return steady_amplitudes(params.replace(delta=delta, Lambda=lam)).c02
-
-
-def _newton_refine(params: SystemParams, delta0: float, lam0: float,
-                   scale_delta: float, scale_lambda: float):
-    """Damped Newton on (Re c02, Im c02) with finite-difference Jacobian."""
-    x = np.array([delta0, lam0], dtype=float)
-    residual = _c02(params, x[0], x[1])
-    for _ in range(_NEWTON_MAX_ITER):
-        if abs(residual) < _NEWTON_RESIDUAL_TOL:
-            return x, abs(residual)
-        jac = np.empty((2, 2))
-        scales = (scale_delta, scale_lambda)
-        for k in range(2):
-            h = _NEWTON_FD_STEP * max(abs(x[k]), scales[k])
-            shifted = x.copy()
-            shifted[k] += h
-            df = (_c02(params, shifted[0], shifted[1]) - residual) / h
-            jac[0, k] = df.real
-            jac[1, k] = df.imag
-        try:
-            step = np.linalg.solve(jac, [-residual.real, -residual.imag])
-        except np.linalg.LinAlgError:
-            return None
-        frac = 1.0
-        trial = x + step
-        trial_res = _c02(params, trial[0], trial[1])
-        while abs(trial_res) >= abs(residual) and frac > 1e-12:
-            frac *= _NEWTON_DAMPING
-            trial = x + frac * step
-            trial_res = _c02(params, trial[0], trial[1])
-        x, residual = trial, trial_res
-    if abs(residual) < _NEWTON_RESIDUAL_TOL:
-        return x, abs(residual)
-    return None
-
-
 def find_optimal_pairs(params: SystemParams,
                        delta_range: tuple[float, float] = (-1.0, 1.0),
-                       lambda_range: tuple[float, float] = (0.0, 1.0e-5),
-                       grid: tuple[int, int] = (400, 100)) -> list[OptimalPair]:
+                       lambda_range: tuple[float, float] = (0.0, 1.0e-5)
+                       ) -> list[OptimalPair]:
     """Locate all real roots of c02(delta, Lambda) = 0 inside a box.
 
-    Ranges are given in units of omega_b.  A coarse |c02| scan over the box
-    seeds damped Newton iterations; converged roots are deduplicated and
-    returned sorted by delta.  An empty list means no root inside the box.
+    Ranges are given in units of omega_b.  Lambda enters the hierarchy only
+    through the pair source, so c02 = a(delta) + b(delta) Lambda, with a the
+    drive pathway (Lambda = 0) and b the pair pathway per unit Lambda
+    (E = 0).  A real root needs Im(a conj(b)) = 0, which is bracketed on a
+    delta scan and solved with brentq; its Lambda is -Re(a / b).  Roots are
+    returned sorted by delta; an empty list means no root inside the box.
     """
     wb = params.omega_b
     d_lo, d_hi = (r * wb for r in delta_range)
     l_lo, l_hi = (r * wb for r in lambda_range)
-    if not (d_lo < d_hi and l_lo < l_hi):
-        raise ConfigError("search box must have min < max on both axes")
+    if not (d_lo < d_hi and 0.0 <= l_lo < l_hi):
+        raise ConfigError("search box must have min < max on both axes "
+                          "and Lambda >= 0")
 
-    deltas = np.linspace(d_lo, d_hi, grid[0])
-    lambdas = np.linspace(l_lo, l_hi, grid[1])
-    magnitude = np.empty((grid[0], grid[1]))
-    for i, d in enumerate(deltas):
-        for j, lam in enumerate(lambdas):
-            magnitude[i, j] = abs(_c02(params, d, lam))
+    def pathways(delta: float) -> tuple[complex, complex]:
+        point = params.replace(delta=delta)
+        a = steady_amplitudes(point.replace(Lambda=0.0)).c02
+        b = steady_amplitudes(point.replace(E=0.0, Lambda=1.0)).c02
+        return a, b
 
-    # candidates: strict local minima of |c02| in the grid interior that sit
-    # below the typical residual level
-    threshold = np.median(magnitude)
-    candidates = []
-    for i in range(1, grid[0] - 1):
-        for j in range(1, grid[1] - 1):
-            window = magnitude[i - 1:i + 2, j - 1:j + 2]
-            if magnitude[i, j] == window.min() and magnitude[i, j] < threshold:
-                candidates.append((deltas[i], lambdas[j]))
+    def phase_mismatch(delta: float) -> float:
+        a, b = pathways(delta)
+        return (a * b.conjugate()).imag
 
-    scale_delta = max(abs(d_lo), abs(d_hi), 1e-3 * wb)
-    scale_lambda = max(abs(l_hi), 1e-9 * wb)
+    deltas = np.linspace(d_lo, d_hi, _SCAN_POINTS)
+    values = np.array([phase_mismatch(d) for d in deltas])
+    # brackets skip exact zeros, which then lie inside a neighbouring
+    # bracket; without drive the function vanishes everywhere: no root
+    signed = np.flatnonzero(values)
     roots: list[OptimalPair] = []
-    for d0, l0 in candidates:
-        refined = _newton_refine(params, d0, l0, scale_delta, scale_lambda)
-        if refined is None:
-            logger.warning("optimal-pair candidate (%.6g, %.6g) did not converge",
-                           d0 / wb, l0 / wb)
+    for i, j in zip(signed[:-1], signed[1:]):
+        if values[i] * values[j] > 0:
             continue
-        (d_root, l_root), res = refined
-        if not (d_lo - _DEDUP_TOL * wb <= d_root <= d_hi + _DEDUP_TOL * wb
-                and l_lo - _DEDUP_TOL * wb <= l_root <= l_hi + _DEDUP_TOL * wb):
+        d_root = brentq(phase_mismatch, deltas[i], deltas[j])
+        a, b = pathways(d_root)
+        l_root = -(a / b).real
+        if not l_lo <= l_root <= l_hi:
             continue
-        duplicate = any(
-            abs(d_root - p.delta_opt) < _DEDUP_TOL * wb
-            and abs(l_root - p.lambda_opt) < _DEDUP_TOL * wb
-            for p in roots
-        )
-        if not duplicate:
-            roots.append(OptimalPair(d_root, l_root, res, wb))
-    roots.sort(key=lambda p: p.delta_opt)
+        residual = abs(steady_amplitudes(
+            params.replace(delta=d_root, Lambda=l_root)).c02)
+        if residual <= _RESIDUAL_TOL * abs(a):
+            roots.append(OptimalPair(d_root, l_root, residual, wb))
     return roots
 
 

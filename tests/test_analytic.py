@@ -5,7 +5,10 @@ import pytest
 
 from spinpb import (
     ConfigError,
+    HilbertConfig,
     SystemParams,
+    analytic,
+    build_hamiltonian,
     evolve_amplitudes,
     find_optimal_pairs,
     g2_analytic,
@@ -53,6 +56,28 @@ def make_params(delta_wb, lam_wb, df_gamma, **kw) -> SystemParams:
     base.update(kw)
     return SystemParams(delta=delta_wb * OMEGA_B, Lambda=lam_wb * OMEGA_B,
                         delta_F=df_gamma * GAMMA, **base)
+
+
+class TestCoefficientMatrix:
+    def test_matches_hamiltonian_projection(self):
+        # the amplitude equations are the m + n <= 2 block of the
+        # non-Hermitian Hamiltonian, in the order (00, 10, 01, 11, 02, 20)
+        cfg = HilbertConfig(3, 3)
+        states = [cfg.basis_index(m, n)
+                  for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0))]
+        rng = np.random.default_rng(77)
+        for _ in range(200):
+            gamma = 10 ** rng.uniform(4, 7)
+            wb = 10 ** rng.uniform(6, 8)
+            p = SystemParams(
+                gamma=gamma, omega_b=wb, delta=rng.uniform(-1, 1) * wb,
+                J=rng.uniform(0, 20) * gamma, K=rng.uniform(0, 2) * gamma,
+                Lambda=rng.uniform(0, 1e-4) * wb, beta=rng.uniform(0.1, 3.0),
+                E=rng.uniform(1e-3, 0.05) * gamma,
+                delta_F=rng.choice([-1, 1]) * rng.uniform(0.1, 1) * gamma)
+            M = analytic._coefficient_matrix(p)
+            H = build_hamiltonian(p, cfg, hermitian=False)[np.ix_(states, states)]
+            assert np.max(np.abs(M - H)) <= 1e-14 * np.max(np.abs(M))
 
 
 class TestSteadyAmplitudes:
@@ -147,8 +172,7 @@ class TestFindOptimalPairs:
 
     def test_empty_box_when_lambda_excluded(self, working_params):
         # grid oracle: |c02| stays bounded away from zero on this box
-        box = find_optimal_pairs(working_params, lambda_range=(1e-3, 1e-2),
-                                 grid=(80, 20))
+        box = find_optimal_pairs(working_params, lambda_range=(1e-3, 1e-2))
         assert box == []
         floor = min(
             abs(steady_amplitudes(working_params.replace(
@@ -157,9 +181,10 @@ class TestFindOptimalPairs:
             for lam in np.linspace(1e-3, 1e-2, 11))
         assert floor > 1e-9
 
-    def test_roots_persist_under_grid_refinement(self, working_params):
+    def test_roots_persist_under_grid_refinement(self, working_params, monkeypatch):
         coarse = find_optimal_pairs(working_params)
-        fine = find_optimal_pairs(working_params, grid=(800, 200))
+        monkeypatch.setattr(analytic, "_SCAN_POINTS", 20 * analytic._SCAN_POINTS)
+        fine = find_optimal_pairs(working_params)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.delta_opt - b.delta_opt) <= 0.01 * abs(a.delta_opt)
@@ -174,9 +199,29 @@ class TestFindOptimalPairs:
                         and abs(pair.lambda_opt_over_omega_b - l_pub) <= 0.005 * l_pub)
                 assert not same
 
+    @pytest.mark.parametrize("beta, expected", [
+        (1.0, [-0.7253994, 0.6203567]),
+        # the middle root has Lambda = 1.4e-8 omega_b, close to the box edge
+        (2.0, [-0.351659, -0.2582169, 0.4906496]),
+    ])
+    def test_roots_at_nonzero_squeezing_phase(self, working_params, beta, expected):
+        p = working_params.replace(beta=beta)
+        pairs = find_optimal_pairs(p)
+        got = [pair.delta_opt_over_omega_b for pair in pairs]
+        assert len(got) == len(expected)
+        for d_got, d_exp in zip(got, expected):
+            assert abs(d_got - d_exp) <= 1e-6
+        for pair in pairs:
+            point = p.replace(delta=pair.delta_opt, Lambda=0.0)
+            drive_only = abs(steady_amplitudes(point).c02)
+            at_root = abs(steady_amplitudes(point.replace(Lambda=pair.lambda_opt)).c02)
+            assert at_root <= 1e-10 * drive_only
+
     def test_reversed_box_rejected(self, working_params):
         with pytest.raises(ConfigError):
             find_optimal_pairs(working_params, delta_range=(1.0, -1.0))
+        with pytest.raises(ConfigError):
+            find_optimal_pairs(working_params, lambda_range=(-1e-6, 1e-5))
 
 
 class TestEvolveAmplitudes:

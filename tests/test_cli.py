@@ -93,6 +93,13 @@ class TestOptimalCommand:
         assert lines[0].startswith("delta_F_over_gamma")
         assert len(lines) == 3   # two CW pairs
 
+    def test_nonzero_squeezing_phase(self, tmp_path):
+        config = write_json(tmp_path / "beta.json", dict(FLAT_PARAMS, beta=1.0))
+        out = tmp_path / "opt.csv"
+        assert main(["optimal", "--config", config, "--direction", "cw",
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_bad_direction(self, params_file, tmp_path):
         assert main(["optimal", "--config", params_file,
                      "--direction", "sideways",
