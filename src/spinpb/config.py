@@ -23,6 +23,8 @@ PARAM_KEYS = ("gamma", "delta", "omega_b", "J", "K", "Lambda", "beta", "E",
 # keys that carry rad/s units and accept reduced-unit companions
 RATE_KEYS = ("delta", "J", "K", "Lambda", "E", "delta_F", "gamma_p")
 _SUFFIXES = ("_over_gamma", "_over_omega_b")
+# every key a parameter may be spelled by: absolute or reduced units
+SPELLINGS = frozenset(PARAM_KEYS) | {k + s for k in RATE_KEYS for s in _SUFFIXES}
 REQUIRED_KEYS = ("gamma", "omega_b")
 
 OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")
@@ -42,10 +44,7 @@ def params_from_dict(raw: dict) -> SystemParams:
     """Build SystemParams from a flat JSON object, resolving reduced units."""
     if not isinstance(raw, dict):
         raise ConfigError("system parameters must be a JSON object")
-    known = set(PARAM_KEYS) | {"comment"}
-    for key in RATE_KEYS:
-        known.update(key + s for s in _SUFFIXES)
-    unknown = set(raw) - known
+    unknown = set(raw) - SPELLINGS - {"comment"}
     if unknown:
         raise ConfigError(f"unknown parameter key(s): {sorted(unknown)}")
 
@@ -68,12 +67,17 @@ def params_from_dict(raw: dict) -> SystemParams:
             continue
         spelling = present[0]
         value = _require_number(raw[spelling], spelling)
-        if spelling.endswith("_over_gamma"):
-            value *= gamma
-        elif spelling.endswith("_over_omega_b"):
-            value *= omega_b
-        values[key] = value
+        values[key] = resolve_unit(spelling, value, gamma, omega_b)[1]
     return SystemParams(**values)
+
+
+def resolve_unit(spelling: str, value: float, gamma: float,
+                 omega_b: float) -> tuple[str, float]:
+    """Parameter name and absolute value (rad/s) of one key spelling."""
+    for suffix, scale in zip(_SUFFIXES, (gamma, omega_b)):
+        if spelling.endswith(suffix):
+            return spelling[:-len(suffix)], value * scale
+    return spelling, value
 
 
 def params_to_dict(params: SystemParams) -> dict:

@@ -128,8 +128,9 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Solve L rho = 0 with tr(rho) = 1 by trace-row replacement.
 
     The first row of L is replaced by the vectorized trace functional and
-    the resulting dense system solved by LU.  The result is Hermitized and
-    checked against the residual bound |L vec(rho)|_inf < 1e-10 |L|_inf.
+    the resulting dense system solved by LU.  The result is Hermitized,
+    checked against the residual bound |L vec(rho)|_inf < 1e-10 |L|_inf, and
+    validated as a density matrix (``SolverError`` if it is not one).
     """
     L = liouvillian.matrix
     dim = liouvillian.dim
@@ -152,7 +153,9 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.2e} exceeds {_STEADY_RESIDUAL_TOL:.0e}"
             f" x |L| = {_STEADY_RESIDUAL_TOL * norm:.2e}")
-    return DensityMatrix(rho)
+    state = DensityMatrix(rho)
+    state.validate()
+    return state
 
 
 def _photon_moments(rho: np.ndarray, cfg: HilbertConfig) -> tuple[float, float]:

@@ -22,14 +22,14 @@ from .analytic import find_optimal_pairs, g2_analytic
 from .config import (
     AXIS_KEYS,
     OBSERVABLES,
-    PARAM_KEYS,
-    RATE_KEYS,
+    SPELLINGS,
     SWEEP_KEYS,
     config_hash,
     hilbert_from_dict,
     params_from_dict,
     params_reduced_dict,
     params_to_dict,
+    resolve_unit,
 )
 from .errors import ConfigError, SolverError
 from .lindblad import build_liouvillian, g2_tau, g2_zero, mandel_q, steady_state
@@ -55,10 +55,7 @@ class AxisSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        allowed = set(PARAM_KEYS) | {k + s for k in RATE_KEYS
-                                     for s in ("_over_gamma", "_over_omega_b")}
-        allowed.add("tau")
-        if self.parameter not in allowed:
+        if self.parameter not in SPELLINGS | {"tau"}:
             raise ConfigError(f"unknown axis parameter '{self.parameter}'")
         if self.points < 2:
             raise ConfigError("axis needs at least 2 points")
@@ -68,6 +65,8 @@ class AxisSpec:
             raise ConfigError(f"axis scale must be linear|log, got '{self.scale}'")
         if self.scale == "log" and self.min <= 0:
             raise ConfigError("log axis requires min > 0")
+        if self.parameter == "tau" and self.min < 0:
+            raise ConfigError("tau axis requires min >= 0")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -125,10 +124,7 @@ class RunManifest:
 
 
 def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
-    if name.endswith("_over_gamma"):
-        return params.replace(**{name[:-len("_over_gamma")]: value * params.gamma})
-    if name.endswith("_over_omega_b"):
-        return params.replace(**{name[:-len("_over_omega_b")]: value * params.omega_b})
+    name, value = resolve_unit(name, value, params.gamma, params.omega_b)
     return params.replace(**{name: value})
 
 
@@ -144,112 +140,91 @@ def _eval_point(observable: str, params: SystemParams, cfg: HilbertConfig) -> fl
 def _grid_results(spec: SweepSpec) -> tuple[list, list]:
     """Evaluate the grid row-major; returns (rows, failures).
 
-    Each row is (axis1_value, [axis2_value,] observable_value); failed points
-    carry NaN and a failure record.
+    Each row is (axis1_value, [axis2_value,] observable_value); a 1-D sweep
+    is a grid with one column.  A g2_tau sweep computes one delay line per
+    point of its other axis.  Failed points carry NaN and a failure record
+    with the index and value of each axis the failure covers.
     """
-    values1 = spec.axis1.values()
-    values2 = spec.axis2.values() if spec.axis2 is not None else None
+    axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
+    values = [ax.values() for ax in axes]
+    grid = np.full((len(values[0]), 1 if spec.axis2 is None else len(values[1])),
+                   np.nan)
     failures: list[dict] = []
-    results: dict[tuple[int, int], float] = {}
 
-    def record_failure(i1: int, i2: int, exc: Exception) -> None:
-        coord = {"axis1_index": i1, spec.axis1.parameter: float(values1[i1])}
-        if values2 is not None:
-            coord["axis2_index"] = i2
-            coord[spec.axis2.parameter] = float(values2[i2])
+    def record_failure(exc: Exception, index: dict) -> None:
+        coord = {}
+        for k, i in index.items():
+            if k < len(axes):
+                coord[f"axis{k + 1}_index"] = i
+                coord[axes[k].parameter] = float(values[k][i])
         failures.append({**coord, "error": f"{type(exc).__name__}: {exc}"})
 
     if spec.observable == "g2_tau":
-        tau_on_axis1 = spec.axis1.parameter == "tau"
-        taus = values1 if tau_on_axis1 else values2
-        others = ([None] if values2 is None
-                  else (values2 if tau_on_axis1 else values1))
-        other_axis = None if values2 is None else (
-            spec.axis2 if tau_on_axis1 else spec.axis1)
-        for j, other_value in enumerate(others):
+        t = 0 if spec.axis1.parameter == "tau" else 1
+        lines = grid.T if t == 0 else grid   # row j: delays at other-axis point j
+        for j in range(lines.shape[0]):
             point = spec.base
-            if other_axis is not None:
-                point = _apply_axis(point, other_axis.parameter, other_value)
+            if spec.axis2 is not None:
+                point = _apply_axis(point, axes[1 - t].parameter, values[1 - t][j])
             try:
-                trace = g2_tau(point, spec.cfg, taus)
-                g2_by_tau = [g for _t, g in trace]
-            except (SolverError, np.linalg.LinAlgError, ValueError) as exc:
-                g2_by_tau = [float("nan")] * len(taus)
-                record = {"error": f"{type(exc).__name__}: {exc}"}
-                if other_axis is not None:
-                    record[other_axis.parameter] = float(other_value)
-                failures.append(record)
-            for k, g in enumerate(g2_by_tau):
-                key = (k, j) if tau_on_axis1 else (j, k)
-                results[key] = g
+                lines[j] = [g for _t, g in g2_tau(point, spec.cfg, values[t])]
+            except (SolverError, np.linalg.LinAlgError) as exc:
+                record_failure(exc, {1 - t: j})
     else:
-        for i1, v1 in enumerate(values1):
+        for i1, v1 in enumerate(values[0]):
             point1 = _apply_axis(spec.base, spec.axis1.parameter, v1)
-            if values2 is None:
+            for i2 in range(grid.shape[1]):
+                point = point1 if spec.axis2 is None else _apply_axis(
+                    point1, spec.axis2.parameter, values[1][i2])
                 try:
-                    results[(i1, 0)] = _eval_point(spec.observable, point1, spec.cfg)
+                    grid[i1, i2] = _eval_point(spec.observable, point, spec.cfg)
                 except (SolverError, np.linalg.LinAlgError) as exc:
-                    results[(i1, 0)] = float("nan")
-                    record_failure(i1, 0, exc)
-                continue
-            for i2, v2 in enumerate(values2):
-                point = _apply_axis(point1, spec.axis2.parameter, v2)
-                try:
-                    results[(i1, i2)] = _eval_point(spec.observable, point, spec.cfg)
-                except (SolverError, np.linalg.LinAlgError) as exc:
-                    results[(i1, i2)] = float("nan")
-                    record_failure(i1, i2, exc)
+                    record_failure(exc, {0: i1, 1: i2})
 
-    rows = []
-    for i1, v1 in enumerate(values1):
-        if values2 is None:
-            rows.append((float(v1), results[(i1, 0)]))
-        else:
-            for i2, v2 in enumerate(values2):
-                rows.append((float(v1), float(v2), results[(i1, i2)]))
+    rows = [(*(float(v[i]) for v, i in zip(values, index)), float(grid[index]))
+            for index in np.ndindex(grid.shape)]
     return rows, failures
 
 
+def _probe(observable: str, point: SystemParams, cfg: HilbertConfig,
+           low: float, tau: float | None) -> tuple[float | None, bool, list]:
+    """Redo one computed value with one extra Fock level per mode.
+
+    ``low`` is the value at ``point`` (and delay ``tau`` for g2_tau) on
+    ``cfg``; returns the relative change, whether it is below
+    ``CONVERGENCE_BOUND``, and notes.
+    """
+    cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
+    try:
+        if observable == "g2_tau":
+            high = g2_tau(point, cfg_hi, [tau])[0][1]
+        else:
+            high = _eval_point(observable, point, cfg_hi)
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        return None, False, [f"convergence probe failed: {exc}"]
+    delta = abs(high - low) / max(abs(low), 1e-300)
+    return delta, delta < CONVERGENCE_BOUND, []
+
+
 def _convergence_check(spec: SweepSpec, rows: list) -> tuple[float | None, bool, list]:
-    """Re-evaluate the most sensitive grid point with one extra Fock level.
+    """Probe the most sensitive grid point: the smallest observable value.
 
     The analytic observable has no truncation, so its delta is 0 by
-    construction.  For numeric observables the point with the smallest
-    observable value (the deepest dip / most nonclassical point) is redone
-    at (n_magnon + 1, n_photon + 1) and the relative change recorded.
+    construction.
     """
-    notes: list[str] = []
     if spec.observable == "g2_analytic":
-        notes.append("analytic observable: truncation-free, delta is 0")
-        return 0.0, True, notes
+        return 0.0, True, ["analytic observable: truncation-free, delta is 0"]
     finite = [r for r in rows if np.isfinite(r[-1])]
     if not finite:
-        notes.append("no finite grid point; convergence not checkable")
-        return None, False, notes
-    probe = min(finite, key=lambda r: r[-1])
-    cfg_hi = HilbertConfig(spec.cfg.n_magnon + 1, spec.cfg.n_photon + 1)
-    point = _apply_axis(spec.base, spec.axis1.parameter, probe[0]) \
-        if spec.axis1.parameter != "tau" else spec.base
-    taus = None
-    if spec.axis1.parameter == "tau":
-        taus = [probe[0]]
-    if spec.axis2 is not None:
-        if spec.axis2.parameter == "tau":
-            taus = [probe[1]]
+        return None, False, ["no finite grid point; convergence not checkable"]
+    row = min(finite, key=lambda r: r[-1])
+    point, tau = spec.base, None
+    for ax, value in zip((spec.axis1, spec.axis2), row[:-1]):
+        if ax.parameter == "tau":
+            tau = value
         else:
-            point = _apply_axis(point, spec.axis2.parameter, probe[1])
-    try:
-        if spec.observable == "g2_tau":
-            low = g2_tau(point, spec.cfg, taus)[0][1]
-            high = g2_tau(point, cfg_hi, taus)[0][1]
-        else:
-            low = probe[-1]
-            high = _eval_point(spec.observable, point, cfg_hi)
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        notes.append(f"convergence probe failed: {exc}")
-        return None, False, notes
-    delta = abs(high - low) / max(abs(low), 1e-300)
-    return delta, delta < CONVERGENCE_BOUND, notes
+            point = _apply_axis(point, ax.parameter, value)
+    return _probe(spec.observable, point, spec.cfg, row[-1], tau)
 
 
 def _write_csv(path: Path, header: list[str], rows: list) -> None:
@@ -260,27 +235,35 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
             fh.write(",".join(_format(v) for v in row) + "\n")
 
 
-def _manifest_for(spec_dict: dict, spec: SweepSpec, t0: float,
-                  delta: float | None, converged: bool,
-                  failures: list, rows: int, notes: list) -> RunManifest:
-    if spec.base.weak_drive_warning:
+def _finish(output_path, header: list[str], rows: list, failures: list,
+            check: tuple[float | None, bool, list], observable: str,
+            params: SystemParams, cfg: HilbertConfig | None,
+            spec_dict: dict | None, t0: float) -> RunManifest:
+    """Write the CSV and its manifest; ``check`` is (delta, converged, notes)."""
+    delta, converged, notes = check
+    if params.weak_drive_warning:
         notes = notes + ["weak-drive flag: E > 0.1 gamma, the excitation "
                          "hierarchy may not hold"]
-    return RunManifest(
-        config_hash=config_hash(spec_dict),
+    out = Path(output_path)
+    _write_csv(out, header, rows)
+    manifest = RunManifest(
+        config_hash=config_hash(spec_dict if spec_dict is not None else {}),
         tool_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         duration_s=time.monotonic() - t0,
         truncation_convergence_delta=delta,
         converged=converged,
-        observable=spec.observable,
-        params_rad_per_s=params_to_dict(spec.base),
-        params_reduced=params_reduced_dict(spec.base),
-        cfg={"n_magnon": spec.cfg.n_magnon, "n_photon": spec.cfg.n_photon},
+        observable=observable,
+        params_rad_per_s=params_to_dict(params),
+        params_reduced=params_reduced_dict(params),
+        cfg={} if cfg is None else {"n_magnon": cfg.n_magnon,
+                                    "n_photon": cfg.n_photon},
         failures=failures,
-        rows=rows,
+        rows=len(rows),
         notes=notes,
     )
+    manifest.write(manifest_path_for(out))
+    return manifest
 
 
 def manifest_path_for(csv_path) -> Path:
@@ -291,16 +274,12 @@ def run_sweep(spec: SweepSpec, spec_dict: dict | None = None) -> RunManifest:
     """Execute a sweep: evaluate the grid, write CSV and manifest."""
     t0 = time.monotonic()
     rows, failures = _grid_results(spec)
-    delta, converged, notes = _convergence_check(spec, rows)
     header = ["axis1_value", "observable_value"]
     if spec.axis2 is not None:
         header = ["axis1_value", "axis2_value", "observable_value"]
-    out = Path(spec.output_path)
-    _write_csv(out, header, rows)
-    manifest = _manifest_for(spec_dict if spec_dict is not None else {},
-                             spec, t0, delta, converged, failures, len(rows), notes)
-    manifest.write(manifest_path_for(out))
-    return manifest
+    return _finish(spec.output_path, header, rows, failures,
+                   _convergence_check(spec, rows), spec.observable, spec.base,
+                   spec.cfg, spec_dict, t0)
 
 
 def run_optimal(params: SystemParams, directions: list[str], output_path,
@@ -316,7 +295,6 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
     t0 = time.monotonic()
     rows = []
     failures = []
-    notes = ["pair search is analytic: truncation-free, delta is 0"]
     for direction in directions:
         if direction not in ("cw", "ccw"):
             raise ConfigError(f"unknown direction '{direction}'")
@@ -332,65 +310,32 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
         for pair in pairs:
             rows.append((shift / params.gamma, pair.delta_opt_over_omega_b,
                          pair.lambda_opt_over_omega_b, pair.residual))
-    out = Path(output_path)
-    _write_csv(out, ["delta_F_over_gamma", "delta_opt_over_omega_b",
-                     "lambda_opt_over_omega_b", "residual"], rows)
-    manifest = RunManifest(
-        config_hash=config_hash(spec_dict if spec_dict is not None else {}),
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        duration_s=time.monotonic() - t0,
-        truncation_convergence_delta=0.0,
-        converged=True,
-        observable="optimal_pairs",
-        params_rad_per_s=params_to_dict(params),
-        params_reduced=params_reduced_dict(params),
-        cfg={},
-        failures=failures,
-        rows=len(rows),
-        notes=notes,
-    )
-    manifest.write(manifest_path_for(out))
-    return manifest
+    check = (0.0, True, ["pair search is analytic: truncation-free, delta is 0"])
+    return _finish(output_path, ["delta_F_over_gamma", "delta_opt_over_omega_b",
+                                 "lambda_opt_over_omega_b", "residual"],
+                   rows, failures, check, "optimal_pairs", params, None,
+                   spec_dict, t0)
 
 
 def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
               points: int, output_path,
               spec_dict: dict | None = None) -> RunManifest:
-    """Linear delay grid from 0 to tau_max; CSV of (tau, g2(tau))."""
+    """Linear delay grid from 0 to tau_max; CSV of (tau, g2(tau)).
+
+    A solver error is raised, not recorded: the trace has a single
+    parameter point.
+    """
     if tau_max <= 0:
         raise ConfigError("tau_max must be positive")
     if points < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
     taus = [0.0] if points == 1 else list(np.linspace(0.0, tau_max, points))
-    trace = g2_tau(params, cfg, taus)
-    rows = [(t, g) for t, g in trace]
-
-    cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
-    probe_tau, low = min(rows, key=lambda r: r[1])
-    high = g2_tau(params, cfg_hi, [probe_tau])[0][1]
-    delta = abs(high - low) / max(abs(low), 1e-300)
-
-    out = Path(output_path)
-    _write_csv(out, ["tau", "g2"], rows)
-    manifest = RunManifest(
-        config_hash=config_hash(spec_dict if spec_dict is not None else {}),
-        tool_version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        duration_s=time.monotonic() - t0,
-        truncation_convergence_delta=delta,
-        converged=delta < CONVERGENCE_BOUND,
-        observable="g2_tau",
-        params_rad_per_s=params_to_dict(params),
-        params_reduced=params_reduced_dict(params),
-        cfg={"n_magnon": cfg.n_magnon, "n_photon": cfg.n_photon},
-        failures=[],
-        rows=len(rows),
-        notes=[],
-    )
-    manifest.write(manifest_path_for(out))
-    return manifest
+    rows = g2_tau(params, cfg, taus)
+    tau, low = min(rows, key=lambda r: r[1])
+    return _finish(output_path, ["tau", "g2"], rows, [],
+                   _probe("g2_tau", params, cfg, low, tau), "g2_tau", params,
+                   cfg, spec_dict, t0)
 
 
 def sweep_spec_from_dict(raw: dict) -> SweepSpec:

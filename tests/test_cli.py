@@ -77,6 +77,17 @@ class TestSweepCommand:
         }
         assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
 
+    def test_negative_tau_axis_exits_two(self, tmp_path):
+        spec = {
+            "axis1": {"parameter": "tau", "min": -1e-6, "max": 1e-6,
+                      "points": 3},
+            "observable": "g2_tau",
+            "base": FLAT_PARAMS,
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["sweep"])
@@ -119,3 +130,24 @@ class TestG2TauCommand:
                           {"gamma": 1.0, "omega_b": 20.0})
         assert main(["g2tau", "--config", dead, "--tau-max", "1.0",
                      "--points", "2", "--output", str(tmp_path / "x.csv")]) == 3
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimal", "g2tau"])
+def test_strong_drive_noted_in_manifest(tmp_path, command):
+    strong = dict(FLAT_PARAMS, E_over_gamma=0.2)
+    config = write_json(tmp_path / "strong.json", strong)
+    out = tmp_path / "out.csv"
+    argv = {
+        "sweep": ["sweep", "--spec", write_json(tmp_path / "spec.json", {
+            "axis1": {"parameter": "delta_over_omega_b", "min": -0.8,
+                      "max": 0.8, "points": 2},
+            "observable": "g2_analytic", "base": strong,
+            "output_path": str(out)})],
+        "optimal": ["optimal", "--config", config, "--direction", "cw",
+                    "--output", str(out)],
+        "g2tau": ["g2tau", "--config", config, "--tau-max", "1e-6",
+                  "--points", "1", "--output", str(out)],
+    }[command]
+    assert main(argv) == 0
+    notes = json.loads((tmp_path / "out.csv.manifest.json").read_text())["notes"]
+    assert any(note.startswith("weak-drive flag") for note in notes)

@@ -116,6 +116,19 @@ class TestSteadyState:
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state(null)
 
+    def test_non_density_null_vector_rejected(self):
+        # L = I - x x+/|x|^2 has the unique null vector x = vec(X), with X
+        # Hermitian and trace one but not PSD; X[0, 0] != 0 keeps the
+        # trace-row system nonsingular, so only validation can refuse it
+        cfg = HilbertConfig(3, 3)
+        X = np.diag(np.linspace(1.5, -0.5, cfg.dim)).astype(complex)
+        X[0, 1] = X[1, 0] = 0.1
+        X /= np.trace(X)
+        x = vectorize(X)
+        matrix = np.eye(cfg.dim**2) - np.outer(x, x.conj()) / np.vdot(x, x)
+        with pytest.raises(SolverError, match="not PSD"):
+            steady_state(Liouvillian(matrix=matrix, cfg=cfg))
+
     def test_driven_cavity_matches_coherent_state(self):
         # closed form: alpha = -E / (delta + delta_F - i gamma/2)
         p = unit_params(delta=0.8, delta_F=-0.35, E=0.02)

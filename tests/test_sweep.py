@@ -53,6 +53,7 @@ class TestAxisSpec:
         dict(parameter="delta", min=1, max=0, points=3),
         dict(parameter="delta", min=0, max=1, points=3, scale="cubic"),
         dict(parameter="delta", min=0, max=1, points=3, scale="log"),
+        dict(parameter="tau", min=-1e-6, max=1e-6, points=3),
     ])
     def test_rejects_bad_axes(self, kw):
         with pytest.raises(ConfigError):
@@ -171,6 +172,38 @@ class TestRunSweep:
         assert len(rows) == 3 and manifest.converged
         g2s = [float(r.split(",")[1]) for r in rows]
         assert g2s[0] < g2s[1] < g2s[2]
+
+    def test_tau_sweep_matches_g2tau_command(self, tmp_path, cfg55):
+        p = cw_base().replace(delta=-0.684495 * OMEGA_B)
+        tau_max, points = 1e-6, 3
+        swept = run_sweep(SweepSpec(axis1=AxisSpec("tau", 0.0, tau_max, points),
+                                    observable="g2_tau", base=p, cfg=cfg55,
+                                    output_path=str(tmp_path / "sweep.csv")))
+        traced = run_g2tau(p, cfg55, tau_max, points, tmp_path / "trace.csv")
+        body = [(tmp_path / name).read_text().splitlines()[1:]
+                for name in ("sweep.csv", "trace.csv")]
+        assert body[0] == body[1]
+        assert (swept.truncation_convergence_delta
+                == traced.truncation_convergence_delta)
+
+    @pytest.mark.parametrize("tau_first", [True, False])
+    def test_tau_sweep_failure_per_line(self, tmp_path, tau_first):
+        tau = AxisSpec("tau", 0.0, 1.0, 3)
+        drive = AxisSpec("E_over_gamma", 0.0, 0.01, 2)   # E = 0: vacuum line
+        axis1, axis2 = (tau, drive) if tau_first else (drive, tau)
+        spec = SweepSpec(axis1=axis1, axis2=axis2, observable="g2_tau",
+                         base=SystemParams(gamma=1.0, omega_b=20.0),
+                         cfg=HilbertConfig(3, 3),
+                         output_path=str(tmp_path / "tau.csv"))
+        manifest = run_sweep(spec)
+        index = "axis2_index" if tau_first else "axis1_index"
+        assert [{k: v for k, v in f.items() if k != "error"}
+                for f in manifest.failures] == [{index: 0, "E_over_gamma": 0.0}]
+        rows = [line.split(",") for line in
+                (tmp_path / "tau.csv").read_text().splitlines()[1:]]
+        e_col = 1 if tau_first else 0
+        assert all((row[2] == "nan") == (float(row[e_col]) == 0.0)
+                   for row in rows)
 
     def test_unwritable_path_raises_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
