@@ -24,7 +24,6 @@ from .errors import (
     NonUniqueSteadyStateError,
     SingularSystemError,
     SolverError,
-    StiffnessError,
     UndefinedCorrelationError,
 )
 from .lindblad import (
@@ -65,7 +64,6 @@ __all__ = [
     "SingularSystemError",
     "SolverError",
     "SpinGeometry",
-    "StiffnessError",
     "SweepSpec",
     "SystemParams",
     "UndefinedCorrelationError",

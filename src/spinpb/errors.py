@@ -27,7 +27,3 @@ class NonUniqueSteadyStateError(SolverError):
 
 class LiouvillianSizeError(SolverError):
     """Requested superoperator exceeds the dense-size guard."""
-
-
-class StiffnessError(SolverError):
-    """Adaptive integration failed; the problem is too stiff for the contract."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinpb import HilbertConfig, SystemParams
+from spinpb import DensityMatrix, HilbertConfig, SystemParams
 
 TWO_PI = 2.0 * np.pi
 
@@ -21,6 +21,12 @@ J = TWO_PI * 7.37e6            # rad/s
 # is the misprint.
 PAIRS_CW = [(-0.684495, 2.46157e-6), (0.654639, 2.45563e-6)]
 PAIRS_CCW = [(0.679535, 2.46105e-6), (-0.659796, 2.47275e-6)]
+
+
+def random_density(rng, dim: int) -> DensityMatrix:
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = raw @ raw.conj().T
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 @pytest.fixture(scope="session")

@@ -241,16 +241,12 @@ class TestEvolveAmplitudes:
         target = steady_amplitudes(p).as_array()
         assert np.max(np.abs(final - target)) < 1e-6
 
-    def test_fourth_order_step_halving(self, working_params):
+    def test_sampling_at_half_interval_agrees(self, working_params):
         p = working_params.replace(delta=-0.5 * OMEGA_B, Lambda=2.0e-6 * OMEGA_B)
         _t1, s1 = evolve_amplitudes(p, t_final=1 / p.gamma, dt=0.002 / p.gamma)
         _t2, s2 = evolve_amplitudes(p, t_final=1 / p.gamma, dt=0.001 / p.gamma)
         diff = np.max(np.abs(s1[-1].as_array() - s2[-1].as_array()))
         assert diff < 1e-9
-
-    def test_large_step_warns(self, working_params):
-        with pytest.warns(UserWarning, match="exceeds"):
-            evolve_amplitudes(working_params, t_final=1e-6, dt=1e-6)
 
     def test_rejects_bad_steps(self, working_params):
         with pytest.raises(ValueError):

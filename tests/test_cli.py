@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, end-to-end runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinpb
 from spinpb.cli import main
 from conftest import GAMMA, J, OMEGA_B
 
@@ -38,6 +43,18 @@ def sweep_file(tmp_path):
         "base": FLAT_PARAMS,
         "output_path": str(tmp_path / "out.csv"),
     })
+
+
+def test_import_loads_no_scipy():
+    """Importing the CLI (all that a parse-only command needs) skips scipy."""
+    src = str(Path(spinpb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, spinpb.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestValidate:

@@ -30,7 +30,7 @@ from spinpb import (
     steady_state,
 )
 from spinpb.lindblad import unvectorize, vectorize
-from conftest import GAMMA, J, OMEGA_B
+from conftest import GAMMA, J, OMEGA_B, random_density
 
 
 def unit_params(**kw) -> SystemParams:
@@ -38,12 +38,6 @@ def unit_params(**kw) -> SystemParams:
     base = dict(gamma=1.0, omega_b=20.0)
     base.update(kw)
     return SystemParams(**base)
-
-
-def random_density(rng, dim: int) -> DensityMatrix:
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = raw @ raw.conj().T
-    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def fock_photon_density(cfg: HilbertConfig, n: int) -> DensityMatrix:
@@ -251,6 +245,15 @@ class TestEvolve:
         trace_distance = 0.5 * np.sum(np.linalg.svd(gap, compute_uv=False))
         assert trace_distance < 1e-6
 
+    def test_non_density_result_rejected(self):
+        cfg = HilbertConfig(3, 3)
+        bad = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        bad[0, 0] = 1.5                      # Hermitian, trace one, not PSD
+        one_photon = cfg.basis_index(0, 1)
+        bad[one_photon, one_photon] = -0.5
+        with pytest.raises(SolverError, match="not PSD"):
+            evolve(build_liouvillian(unit_params(), cfg), DensityMatrix(bad), 0.1)
+
 
 class TestG2Tau:
     def test_zero_delay_matches_equal_time(self, working_params, cfg55):
@@ -268,6 +271,41 @@ class TestG2Tau:
         values = [g for _t, g in trace]
         assert all(v > values[0] for v in values[1:])
         assert abs(values[-1] - 1.0) < 0.01   # ~coherent by 3.5 us
+
+    @pytest.mark.parametrize("grid", ["linear", "log"])
+    def test_matches_matrix_exponential(self, working_params, cfg55, grid):
+        """Every delay within 1e-10 of expm(L tau) vec(a rho_ss a+).
+
+        The conditional state has entries near 2.5e-5, far below the
+        absolute tolerance an adaptive integrator would be given.
+        """
+        from scipy.linalg import expm
+
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B)
+        liou = build_liouvillian(p, cfg55)
+        rho = steady_state(liou).data
+        ops = embed_ops(cfg55)
+        n_ss = np.real(np.trace(ops.n_a @ rho))
+        sigma = vectorize(ops.a @ rho @ ops.a_dag)
+        if grid == "linear":
+            taus = np.linspace(0.0, 1.5e-6, 41)
+            step = expm(liou.matrix * taus[1])
+            vecs = [sigma]
+            for _ in taus[1:]:
+                vecs.append(step @ vecs[-1])
+            propagated = dict(zip(taus, vecs))
+        else:
+            log = np.geomspace(1e-8, 1.5e-6, 6)
+            taus = np.concatenate([[0.0], log, log[2:3]])   # 0 and a repeat
+            propagated = {tau: expm(liou.matrix * tau) @ sigma
+                          for tau in np.unique(taus)}
+        exact = {tau: np.real(np.trace(ops.n_a @ unvectorize(vec, cfg55.dim))) / n_ss**2
+                 for tau, vec in propagated.items()}
+        trace = g2_tau(p, cfg55, taus)
+        assert [t for t, _g in trace] == sorted(taus)
+        for tau, value in trace:
+            assert abs(value - exact[tau]) <= 1e-10 * exact[tau], f"tau = {tau:.3e}"
 
     def test_vacuum_has_no_correlations(self, cfg55):
         with pytest.raises(UndefinedCorrelationError):

@@ -1,0 +1,63 @@
+"""Property tests over random weak-drive parameters (hypothesis).
+
+Each property is an independent oracle for one engine: exact propagation
+against the dense matrix exponential, and the optimal-pair search against
+the amplitude it claims to cancel.  Examples are few and derandomized so
+the suite stays quick and repeatable.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+
+from spinpb import (
+    HilbertConfig,
+    SystemParams,
+    build_liouvillian,
+    evolve,
+    find_optimal_pairs,
+    steady_amplitudes,
+)
+from spinpb.lindblad import unvectorize, vectorize
+from conftest import GAMMA, J, OMEGA_B, random_density
+
+FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+
+
+def between(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# gamma = 1 units; E <= 0.1 gamma keeps every draw in the weak-drive regime
+weak_drive_params = st.builds(
+    SystemParams, gamma=st.just(1.0), omega_b=st.just(20.0),
+    delta=between(-2.0, 2.0), J=between(0.0, 3.0), K=between(0.0, 0.5),
+    Lambda=between(0.0, 0.05), beta=between(0.0, 2 * np.pi),
+    E=between(0.0, 0.1), delta_F=between(-1.0, 1.0), m_th=between(0.0, 0.1),
+    gamma_p=between(0.0, 0.2))
+
+
+@FEW
+@given(params=weak_drive_params, t=between(0.01, 5.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolve_matches_matrix_exponential(params, t, seed):
+    cfg = HilbertConfig(3, 3)
+    rho0 = random_density(np.random.default_rng(seed), cfg.dim)
+    liou = build_liouvillian(params, cfg)
+    rho_t = evolve(liou, rho0, t)
+    exact = unvectorize(expm(liou.matrix * t) @ vectorize(rho0.data), cfg.dim)
+    assert np.max(np.abs(rho_t.data - exact)) <= 1e-10
+    rho_t.validate()
+
+
+@FEW
+@given(k=between(0.0, 0.5), e=between(1e-3, 0.05), f=between(-1.0, 1.0),
+       beta=between(0.0, 2 * np.pi))
+def test_pair_search_roots_cancel_c02(k, e, f, beta):
+    params = SystemParams(gamma=GAMMA, omega_b=OMEGA_B, J=J, K=k * GAMMA,
+                          E=e * GAMMA, delta_F=f * GAMMA, beta=beta)
+    for pair in find_optimal_pairs(params):
+        point = params.replace(delta=pair.delta_opt, Lambda=0.0)
+        drive_only = abs(steady_amplitudes(point).c02)
+        at_root = abs(steady_amplitudes(point.replace(Lambda=pair.lambda_opt)).c02)
+        assert at_root <= 1e-10 * drive_only
