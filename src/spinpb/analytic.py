@@ -19,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularSystemError, UndefinedCorrelationError
-from .model import SystemParams
+from .model import SystemParams, _coefficients, _terms
+from .operators import HilbertConfig
 
-_SQRT2 = np.sqrt(2.0)
+# the Hamiltonian's terms on the amplitudes' states |m, n>, in amplitude order
+_BLOCK = [HilbertConfig(3, 3).basis_index(m, n)
+          for m, n in ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0))]
+_BLOCK_TERMS = (_terms(HilbertConfig(3, 3)).reshape(7, 9, 9)[:, _BLOCK][:, :, _BLOCK]
+                .reshape(7, 36))
 
 # optimal-pair search
 _SCAN_POINTS = 401              # delta samples bracketing the roots
@@ -151,33 +156,11 @@ def find_optimal_pairs(params: SystemParams,
 
 
 def _coefficient_matrix(params: SystemParams) -> np.ndarray:
-    """Full 6x6 matrix M of i dC/dt = M C, order (c00, c10, c01, c11, c02, c20)."""
-    d_a = params.delta - 0.5j * params.gamma
-    d_m = params.delta - 0.5j * params.gamma
-    drive = params.E
-    J = params.J
-    pair_up = 1j * _SQRT2 * params.Lambda * np.exp(1j * params.beta)
-    M = np.zeros((6, 6), dtype=complex)
-    M[0, 2] = drive
-    M[0, 4] = -1j * _SQRT2 * params.Lambda * np.exp(-1j * params.beta)
-    M[1, 1] = d_m + params.K
-    M[1, 2] = J
-    M[1, 3] = drive
-    M[2, 0] = drive
-    M[2, 1] = J
-    M[2, 2] = d_a + params.delta_F
-    M[2, 4] = _SQRT2 * drive
-    M[3, 1] = drive
-    M[3, 3] = d_a + params.delta_F + d_m + params.K
-    M[3, 4] = _SQRT2 * J
-    M[3, 5] = _SQRT2 * J
-    M[4, 0] = pair_up
-    M[4, 2] = _SQRT2 * drive
-    M[4, 3] = _SQRT2 * J
-    M[4, 4] = 2.0 * (d_a + params.delta_F)
-    M[5, 3] = _SQRT2 * J
-    M[5, 5] = 2.0 * (d_m + 2.0 * params.K)
-    return M
+    """Full 6x6 matrix M of i dC/dt = M C, order (c00, c10, c01, c11, c02, c20).
+
+    M is the m + n <= 2 block of the non-Hermitian Hamiltonian.
+    """
+    return (_coefficients(params, hermitian=False) @ _BLOCK_TERMS).reshape(6, 6)
 
 
 def evolve_amplitudes(params: SystemParams, t_final: float,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any
 
 from .errors import ConfigError
@@ -35,9 +36,12 @@ HILBERT_KEYS = {"n_magnon", "n_photon", "comment"}
 
 
 def _require_number(value: Any, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' must be a number, got {value!r}")
-    return float(value)
+    try:   # isfinite raises for a non-number and for an int beyond float range
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
 
 
 def params_from_dict(raw: dict) -> SystemParams:

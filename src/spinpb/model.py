@@ -12,7 +12,9 @@ All rates and detunings are angular frequencies (rad/s).
 
 from __future__ import annotations
 
+import cmath
 import enum
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,6 +149,26 @@ def effective_kerr(K0: float, g: float, omega_b: float) -> float:
     return K0 - g**2 / omega_b
 
 
+def _coefficients(params: SystemParams, hermitian: bool) -> np.ndarray:
+    """Weights of the rows of ``_terms``: the H of ``build_hamiltonian``."""
+    decay = 0.0 if hermitian else -0.5j * params.gamma
+    pair = 1j * params.Lambda * cmath.exp(1j * params.beta)
+    return np.array([params.delta + params.delta_F + decay, params.delta + decay,
+                     params.K, params.J, pair, pair.conjugate(), params.E])
+
+
+@functools.lru_cache
+def _terms(cfg: HilbertConfig) -> np.ndarray:
+    """The seven fixed operators of H, each flattened to one row (read-only)."""
+    ops = embed_ops(cfg)
+    terms = np.array([ops.n_a, ops.n_m, ops.n_m @ ops.n_m,
+                      ops.a_dag @ ops.m + ops.a @ ops.m_dag,
+                      ops.a_dag @ ops.a_dag, ops.a @ ops.a,
+                      ops.a_dag + ops.a]).reshape(7, cfg.dim**2)
+    terms.flags.writeable = False
+    return terms
+
+
 def build_hamiltonian(params: SystemParams, cfg: HilbertConfig,
                       hermitian: bool = True) -> np.ndarray:
     """Reduced two-mode Hamiltonian on the truncated composite space.
@@ -158,16 +180,4 @@ def build_hamiltonian(params: SystemParams, cfg: HilbertConfig,
     which is the generator used by the amplitude equations.  The drive acts
     on the cavity mode in both variants.
     """
-    ops = embed_ops(cfg)
-    H = (params.delta + params.delta_F) * ops.n_a
-    H = H + params.delta * ops.n_m
-    H = H + params.K * (ops.n_m @ ops.n_m)
-    H = H + params.J * (ops.a_dag @ ops.m + ops.a @ ops.m_dag)
-    H = H + 1j * params.Lambda * (
-        ops.a_dag @ ops.a_dag * np.exp(1j * params.beta)
-        - ops.a @ ops.a * np.exp(-1j * params.beta)
-    )
-    H = H + params.E * (ops.a_dag + ops.a)
-    if not hermitian:
-        H = H - 0.5j * params.gamma * (ops.n_a + ops.n_m)
-    return H
+    return (_coefficients(params, hermitian) @ _terms(cfg)).reshape(cfg.dim, cfg.dim)

@@ -24,6 +24,7 @@ from .config import (
     OBSERVABLES,
     SPELLINGS,
     SWEEP_KEYS,
+    _require_number,
     config_hash,
     hilbert_from_dict,
     params_from_dict,
@@ -325,8 +326,8 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     A solver error is raised, not recorded: the trace has a single
     parameter point.
     """
-    if tau_max <= 0:
-        raise ConfigError("tau_max must be positive")
+    if not 0 < tau_max < np.inf:
+        raise ConfigError("tau_max must be positive and finite")
     if points < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
@@ -370,6 +371,7 @@ def _axis_from_dict(raw: dict) -> AxisSpec:
     points = raw["points"]
     if isinstance(points, bool) or not isinstance(points, int):
         raise ConfigError("axis 'points' must be an integer")
-    return AxisSpec(parameter=raw["parameter"], min=float(raw["min"]),
-                    max=float(raw["max"]), points=points,
+    return AxisSpec(parameter=raw["parameter"],
+                    min=_require_number(raw["min"], "min"),
+                    max=_require_number(raw["max"], "max"), points=points,
                     scale=raw.get("scale", "linear"))

@@ -168,3 +168,26 @@ def test_strong_drive_noted_in_manifest(tmp_path, command):
     assert main(argv) == 0
     notes = json.loads((tmp_path / "out.csv.manifest.json").read_text())["notes"]
     assert any(note.startswith("weak-drive flag") for note in notes)
+
+
+@pytest.mark.parametrize("case", ["params-nan-infinity", "axis-min-nan",
+                                  "axis-min-text", "axis-min-numeric-string",
+                                  "tau-max-nan"])
+def test_non_finite_or_non_numeric_input_exits_two(tmp_path, case):
+    out = tmp_path / "out.csv"
+    axis_min = {"axis-min-nan": float("nan"), "axis-min-text": "abc",
+                "axis-min-numeric-string": "0.5"}.get(case)
+    if case == "params-nan-infinity":
+        config = {"gamma": float("nan"), "omega_b": OMEGA_B, "delta": float("inf")}
+        argv = ["validate", "--config", write_json(tmp_path / "p.json", config)]
+    elif case == "tau-max-nan":
+        argv = ["g2tau", "--config", write_json(tmp_path / "p.json", FLAT_PARAMS),
+                "--tau-max", "nan", "--points", "2", "--output", str(out)]
+    else:
+        spec = {"axis1": {"parameter": "delta_over_omega_b", "min": axis_min,
+                          "max": 0.8, "points": 3},
+                "observable": "g2_analytic", "base": FLAT_PARAMS,
+                "output_path": str(out)}
+        argv = ["sweep", "--spec", write_json(tmp_path / "s.json", spec)]
+    assert main(argv) == 2
+    assert not out.exists()

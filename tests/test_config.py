@@ -78,10 +78,17 @@ class TestParamsFromDict:
         raw["comment"] = "working point"
         assert params_from_dict(raw).gamma == 2.0
 
-    def test_non_numeric_value(self):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("J", "fast", id="string"),
+        pytest.param("gamma", float("nan"), id="nan"),
+        pytest.param("delta", float("inf"), id="infinity"),
+        pytest.param("E", -float("inf"), id="minus-infinity"),
+        pytest.param("K", 10**400, id="int-beyond-float"),
+    ])
+    def test_non_numeric_value(self, key, value):
         raw = dict(FLAT)
-        raw["J"] = "fast"
-        with pytest.raises(ConfigError, match="must be a number"):
+        raw[key] = value
+        with pytest.raises(ConfigError, match="must be a finite number"):
             params_from_dict(raw)
 
     def test_reduced_echo_units(self):

@@ -1,9 +1,10 @@
 """Property tests over random weak-drive parameters (hypothesis).
 
-Each property is an independent oracle for one engine: exact propagation
-against the dense matrix exponential, and the optimal-pair search against
-the amplitude it claims to cancel.  Examples are few and derandomized so
-the suite stays quick and repeatable.
+Each property is an independent oracle for one engine: the Liouvillian
+against the textbook master equation applied to each basis matrix, exact
+propagation against the dense matrix exponential, and the optimal-pair
+search against the amplitude it claims to cancel.  Examples are few and
+derandomized so the suite stays quick and repeatable.
 """
 
 import numpy as np
@@ -13,6 +14,8 @@ from scipy.linalg import expm
 from spinpb import (
     HilbertConfig,
     SystemParams,
+    annihilation,
+    build_hamiltonian,
     build_liouvillian,
     evolve,
     find_optimal_pairs,
@@ -35,6 +38,36 @@ weak_drive_params = st.builds(
     Lambda=between(0.0, 0.05), beta=between(0.0, 2 * np.pi),
     E=between(0.0, 0.1), delta_F=between(-1.0, 1.0), m_th=between(0.0, 0.1),
     gamma_p=between(0.0, 0.2))
+
+
+@FEW
+@given(params=weak_drive_params)
+def test_liouvillian_matches_textbook_master_equation(params):
+    # -i[H, rho] + sum (r/2)(2 c rho c+ - {c+c, rho}), one column per basis
+    # matrix |j><k| in column-stacked order
+    cfg = HilbertConfig(3, 4)
+    dim = cfg.dim
+    a = np.kron(np.eye(cfg.n_magnon), annihilation(cfg.n_photon))
+    m = np.kron(annihilation(cfg.n_magnon), np.eye(cfg.n_photon))
+    g = params.gamma
+    jumps = [(g, a), (g * (params.m_th + 1), m), (g * params.m_th, m.conj().T),
+             (params.gamma_p, a.conj().T @ a)]
+    H = build_hamiltonian(params, cfg)
+
+    def master_equation(rho):
+        out = -1j * (H @ rho - rho @ H)
+        for rate, c in jumps:
+            cdc = c.conj().T @ c
+            out += 0.5 * rate * (2 * c @ rho @ c.conj().T - cdc @ rho - rho @ cdc)
+        return out
+
+    textbook = np.empty((dim**2, dim**2), dtype=complex)
+    for col in range(dim**2):
+        basis = np.zeros(dim**2, dtype=complex)
+        basis[col] = 1.0
+        textbook[:, col] = vectorize(master_equation(unvectorize(basis, dim)))
+    L = build_liouvillian(params, cfg).matrix
+    assert np.max(np.abs(L - textbook)) <= 1e-14 * np.max(np.abs(L))
 
 
 @FEW
