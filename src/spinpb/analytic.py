@@ -2,9 +2,9 @@
 
 In the weak-drive limit the system state stays inside the subspace spanned
 by |m, n> with m + n <= 2.  The six amplitudes obey a closed linear ODE
-system; the steady state is solved perturbatively (vacuum -> one-excitation
-2x2 block -> two-excitation 3x3 block) and yields the equal-time photon
-correlation g2(0) = 2 |c02|^2 / |c01|^4.  Destructive interference between
+system; with c00 = 1 and the feedback of two excitations onto one dropped,
+the steady state is one block lower-triangular solve, and yields the
+equal-time photon correlation g2(0) = 2 |c02|^2 / |c01|^4.  Destructive interference between
 the drive pathway and the pair-source pathway makes c02 vanish on a
 discrete set of (delta, Lambda) points, located by ``find_optimal_pairs``.
 
@@ -73,24 +73,17 @@ class OptimalPair:
 
 
 def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
-    """Solve the steady amplitude hierarchy with c00 = 1.
+    """Solve the steady amplitude hierarchy with c00 = 1 in one call.
 
-    The one-excitation block drops the drive feedback from the
-    two-excitation amplitudes; the two-excitation block is then sourced by
-    the one-excitation solution and the direct pair term of the amplifier.
-    Both blocks are read from ``_coefficient_matrix``.
+    The hierarchy drops the drive feedback of two excitations onto one, so
+    ``_coefficient_matrix`` past c00 is a block lower-triangular system.
     """
     M = _coefficient_matrix(params)
+    M[1:3, 3:6] = 0.0
     try:
-        c10, c01 = np.linalg.solve(M[1:3, 1:3], -M[1:3, 0])
+        c10, c01, c11, c02, c20 = np.linalg.solve(M[1:, 1:], -M[1:, 0])
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("one-excitation block is singular") from exc
-    source = -(M[3:6, 0] + M[3:6, 1:3] @ [c10, c01])
-    try:
-        c11, c02, c20 = np.linalg.solve(M[3:6, 3:6], source)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("two-excitation block is singular") from exc
-
+        raise SingularSystemError("amplitude hierarchy is singular") from exc
     return AmplitudeVector(1.0 + 0.0j, c10, c01, c11, c02, c20)
 
 

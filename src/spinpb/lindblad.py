@@ -10,7 +10,9 @@ optional cavity pure dephasing,
                + (gamma_p/2) [2 n_a rho n_a - n_a^2 rho - rho n_a^2]
 
 with L_c(rho) = 2 c rho c+ - {c+c, rho}, so a mode's total energy decay
-rate is gamma.  Superoperators act on column-stacked density matrices.
+rate is gamma.  Superoperators act on column-stacked density matrices.  L is
+the weighted sum of 11 fixed superoperators (7 Hamiltonian terms, 4 jumps),
+built once per truncation; the steady state LU-factors one copy of L in place.
 
 Two-time correlations use the regression property: the conditional operator
 a rho_ss a+ is propagated by the same generator as rho itself.  The generator
@@ -23,6 +25,7 @@ scipy is imported inside the functions that use it, so importing the package
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +36,8 @@ from .errors import (
     SolverError,
     UndefinedCorrelationError,
 )
-from .model import SystemParams, build_hamiltonian
+# build_hamiltonian is unused here; perfbench/spans.py traces it by this name
+from .model import SystemParams, _coefficients, _terms, build_hamiltonian  # noqa: F401
 from .operators import HilbertConfig, embed_ops
 
 _MAX_SUPER_DIM = 10_000       # refuse Liouvillians larger than this (dim^2)
@@ -89,59 +93,67 @@ class Liouvillian:
         return self.cfg.dim
 
 
+@functools.lru_cache
+def _generators(cfg: HilbertConfig):
+    """The 11 fixed superoperators of L, each flattened to a column (dim^4, 11).
+
+    -i(I x T - T^T x I) for the rows T of ``model._terms``, then
+    c x c - (I x c^T c + c^T c x I)/2 for the real jumps c = a, m, m+, n_a.
+    """
+    from scipy import sparse
+
+    dim = cfg.dim
+    eye = sparse.identity(dim)
+    ops = embed_ops(cfg)
+    supers = [-1j * (sparse.kron(eye, T) - sparse.kron(T.T, eye))
+              for T in _terms(cfg).reshape(7, dim, dim)]
+    supers += [sparse.kron(c, c) - 0.5 * (sparse.kron(eye, c.T @ c)
+                                          + sparse.kron(c.T @ c, eye))
+               for c in (ops.a.real, ops.m.real, ops.m_dag.real, ops.n_a.real)]
+    return sparse.hstack([s.reshape((dim**4, 1)) for s in supers], format="csc")
+
+
 def build_liouvillian(params: SystemParams, cfg: HilbertConfig) -> Liouvillian:
     """Assemble the dense master-equation generator.
 
-    Written as an effective Hamiltonian plus one jump term per dissipator
-    (Dalibard, Castin and Molmer, PRL 68, 580 (1992)): with jumps c at rates
-    r, H_eff = H - (i/2) sum r c+c and
-
-        L rho = -i (H_eff rho - rho H_eff+) + sum r c rho c+.
-
-    Refuses superoperator dimensions above 10^4.
+    L is the sum of the superoperators of ``_generators`` weighted by the
+    seven Hamiltonian weights and the jump rates gamma, gamma (m_th + 1),
+    gamma m_th and gamma_p.  Refuses superoperator dimensions above 10^4.
     """
     if cfg.dim**2 > _MAX_SUPER_DIM:
         raise LiouvillianSizeError(
             f"superoperator dimension {cfg.dim**2} exceeds guard {_MAX_SUPER_DIM}")
-    ops = embed_ops(cfg)
     gamma = params.gamma
-    jumps = [(rate, c) for rate, c in ((gamma, ops.a),
-                                       (gamma * (params.m_th + 1.0), ops.m),
-                                       (gamma * params.m_th, ops.m_dag),
-                                       (params.gamma_p, ops.n_a))
-             if rate > 0]
-    H_eff = build_hamiltonian(params, cfg) - 0.5j * sum(
-        rate * (c.conj().T @ c) for rate, c in jumps)
-    eye = np.eye(cfg.dim)
-    # accumulated in place: at dim 64 each term is a 268 MB matrix
-    L = np.kron(eye, -1j * H_eff)
-    L += np.kron(1j * H_eff.conj(), eye)
-    for rate, c in jumps:
-        L += np.kron(rate * c.conj(), c)
+    weights = [*_coefficients(params, hermitian=True), gamma,
+               gamma * (params.m_th + 1.0), gamma * params.m_th, params.gamma_p]
+    L = (_generators(cfg) @ np.array(weights)).reshape(cfg.dim**2, cfg.dim**2)
     return Liouvillian(matrix=L, cfg=cfg)
 
 
 def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Solve L rho = 0 with tr(rho) = 1 by trace-row replacement.
 
-    The first row of L is replaced by the vectorized trace functional and
-    the resulting dense system solved by LU.  The result is Hermitized,
-    checked against the residual bound |L vec(rho)|_inf < 1e-10 |L|_inf, and
-    validated as a density matrix (``SolverError`` if it is not one).
+    The first row of a Fortran-ordered copy of L is replaced by the
+    vectorized trace functional; the copy is LU-factored in place with row
+    pivoting (LAPACK getrf).  The result is Hermitized, checked against the
+    residual bound |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a
+    density matrix (``SolverError`` if it is not one).
     """
+    from scipy.linalg.lapack import zgetrf, zgetrs
+
     L = liouvillian.matrix
     dim = liouvillian.dim
-    system = L.copy()
+    system = np.array(L, dtype=complex, order="F")
     system[0, :] = 0.0
     system[0, ::dim + 1] = 1.0    # trace functional on column-stacked input
     rhs = np.zeros(L.shape[0], dtype=complex)
     rhs[0] = 1.0
-    try:
-        vec = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
+    lu, pivots, info = zgetrf(system, overwrite_a=True)
+    if info > 0:
         raise NonUniqueSteadyStateError(
-            "steady state is not unique (trace-constrained system singular)"
-        ) from exc
+            "steady state is not unique (trace-constrained system singular)")
+    vec, _ = zgetrs(lu, pivots, rhs)
+    del system, lu    # free the factor before np.abs(L) below allocates
     rho = unvectorize(vec, dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.max(np.abs(L @ vectorize(rho)))

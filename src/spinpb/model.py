@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,16 +108,13 @@ class SystemParams:
     gamma_p: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.omega_b <= 0:
-            raise ConfigError("omega_b must be positive")
-        if self.m_th < 0:
-            raise ConfigError("m_th must be non-negative")
-        if self.gamma_p < 0:
-            raise ConfigError("gamma_p must be non-negative")
-        if self.Lambda < 0:
-            raise ConfigError("Lambda must be non-negative")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+            if value <= 0 and name in ("gamma", "omega_b"):
+                raise ConfigError(f"{name} must be positive")
+            if value < 0 and name in ("m_th", "gamma_p", "Lambda"):
+                raise ConfigError(f"{name} must be non-negative")
 
     @property
     def weak_drive_warning(self) -> bool:

@@ -60,8 +60,8 @@ class AxisSpec:
             raise ConfigError(f"unknown axis parameter '{self.parameter}'")
         if self.points < 2:
             raise ConfigError("axis needs at least 2 points")
-        if self.min >= self.max:
-            raise ConfigError("axis must have min < max")
+        if not -np.inf < self.min < self.max < np.inf:   # also rejects NaN
+            raise ConfigError("axis must have finite min < max")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis scale must be linear|log, got '{self.scale}'")
         if self.scale == "log" and self.min <= 0:

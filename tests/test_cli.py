@@ -45,16 +45,27 @@ def sweep_file(tmp_path):
     })
 
 
-def test_import_loads_no_scipy():
-    """Importing the CLI (all that a parse-only command needs) skips scipy."""
+def loaded_modules(code: str, prefix: str) -> str:
+    """Run ``code`` in a fresh interpreter; the loaded modules named prefix*."""
     src = str(Path(spinpb.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, spinpb.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    code += f"; print([m for m in sys.modules if m.startswith({prefix!r})])"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    """Importing the CLI (all that a parse-only command needs) skips scipy."""
+    assert loaded_modules("import sys, spinpb.cli", "scipy") == "[]"
+
+
+def test_lindblad_path_loads_no_optimizer():
+    """A steady-state g2 never imports scipy.optimize (~19 MB resident)."""
+    code = ("import sys; from spinpb import *; cfg = HilbertConfig(3, 3); "
+            "p = SystemParams(gamma=1.0, omega_b=20.0, E=0.05, J=0.5); "
+            "g2_zero(steady_state(build_liouvillian(p, cfg)), cfg)")
+    assert loaded_modules(code, "scipy.optimize") == "[]"
 
 
 class TestValidate:

@@ -6,7 +6,10 @@ thermal bath only -> Bose occupation), which certify the full superoperator
 construction independently of the amplitude solver.
 """
 
+import json
 import math
+import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from spinpb import (
     mandel_q,
     steady_state,
 )
+from spinpb.config import params_from_dict
 from spinpb.lindblad import unvectorize, vectorize
 from conftest import GAMMA, J, OMEGA_B, random_density
 
@@ -78,6 +82,20 @@ class TestBuildLiouvillian:
         with pytest.raises(LiouvillianSizeError):
             build_liouvillian(unit_params(), HilbertConfig(11, 10))
 
+    def test_assembly_memory(self):
+        """After the per-truncation tables are built, a build allocates ~L."""
+        p = unit_params(delta=0.3, J=1.1, K=0.1, Lambda=0.02, E=0.05,
+                        m_th=0.1, gamma_p=0.01)
+        cfg = HilbertConfig(6, 6)
+        build_liouvillian(p, cfg)
+        tracemalloc.start()
+        try:
+            matrix = build_liouvillian(p, cfg).matrix
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * matrix.nbytes
+
     def test_thermal_magnon_occupation(self):
         cfg = HilbertConfig(6, 3)
         liou = build_liouvillian(unit_params(delta=0.4, m_th=0.01), cfg)
@@ -122,6 +140,38 @@ class TestSteadyState:
         matrix = np.eye(cfg.dim**2) - np.outer(x, x.conj()) / np.vdot(x, x)
         with pytest.raises(SolverError, match="not PSD"):
             steady_state(Liouvillian(matrix=matrix, cfg=cfg))
+
+    @pytest.mark.parametrize("delta", [-0.684495, 0.654639])
+    @pytest.mark.parametrize("noise", [{}, {"m_th": 1e-7, "gamma_p": 0.01}])
+    def test_g2_accurate_at_blockade_floor(self, delta, noise):
+        """g2(0) to 1e-10 of the refined trace-row solve at the fig2a dips.
+
+        The two-photon populations are ~1e-12 here, so a solve that loses
+        digits (e.g. an LU pivoted by column) moves g2 by ~1e-6 while the
+        residual check still passes.  The oracle solves the same system and
+        refines it twice with residuals in extended precision.
+        """
+        raw = json.loads(resources.files("spinpb.presets")
+                         .joinpath("fig2a.json").read_text())
+        base = params_from_dict(raw["base"])
+        p = base.replace(delta=delta * base.omega_b, m_th=noise.get("m_th", 0.0),
+                         gamma_p=noise.get("gamma_p", 0.0) * base.gamma)
+        cfg = HilbertConfig(5, 5)
+        L = build_liouvillian(p, cfg).matrix
+        system = L.copy()
+        system[0, :] = 0.0
+        system[0, ::cfg.dim + 1] = 1.0
+        rhs = np.zeros(L.shape[0], dtype=complex)
+        rhs[0] = 1.0
+        vec = np.linalg.solve(system, rhs)
+        wide = system.astype(np.clongdouble)
+        for _ in range(2):
+            residual = rhs - wide @ vec.astype(np.clongdouble)
+            vec = vec + np.linalg.solve(system, residual.astype(complex))
+        rho = unvectorize(vec, cfg.dim)
+        exact = g2_zero(DensityMatrix(0.5 * (rho + rho.conj().T)), cfg)
+        value = g2_zero(steady_state(build_liouvillian(p, cfg)), cfg)
+        assert abs(value - exact) <= 1e-10 * exact
 
     def test_driven_cavity_matches_coherent_state(self):
         # closed form: alpha = -E / (delta + delta_F - i gamma/2)

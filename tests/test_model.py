@@ -163,6 +163,14 @@ class TestSystemParams:
         with pytest.raises(ConfigError):
             SystemParams(gamma=1.0, omega_b=1.0, Lambda=-1.0)
 
+    @pytest.mark.parametrize("key", ["gamma", "omega_b", "delta", "E",
+                                     "m_th", "Lambda"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       -float("inf")])
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match="finite"):
+            SystemParams(**{"gamma": 1.0, "omega_b": 20.0, key: value})
+
     def test_weak_drive_flag(self):
         assert not SystemParams(gamma=1.0, omega_b=1.0, E=0.05).weak_drive_warning
         assert SystemParams(gamma=1.0, omega_b=1.0, E=0.2).weak_drive_warning

@@ -1,6 +1,7 @@
 """Sweep execution: grids, CSV format, manifests, determinism."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -54,6 +55,9 @@ class TestAxisSpec:
         dict(parameter="delta", min=0, max=1, points=3, scale="cubic"),
         dict(parameter="delta", min=0, max=1, points=3, scale="log"),
         dict(parameter="tau", min=-1e-6, max=1e-6, points=3),
+        dict(parameter="delta", min=float("nan"), max=1.0, points=3),
+        dict(parameter="delta", min=0.0, max=float("inf"), points=3),
+        dict(parameter="delta", min=-float("inf"), max=1.0, points=3),
     ])
     def test_rejects_bad_axes(self, kw):
         with pytest.raises(ConfigError):
@@ -288,17 +292,35 @@ class TestRunG2Tau:
                       output_path=tmp_path / "x.csv")
 
 
+PRESETS = sorted(r.name for r in resources.files("spinpb.presets").iterdir()
+                 if r.name.endswith(".json"))
+
+
+def load_preset(name: str) -> dict:
+    return json.loads(resources.files("spinpb.presets").joinpath(name).read_text())
+
+
 class TestPresets:
     def test_all_presets_parse(self):
-        from importlib import resources
-
-        names = [r.name for r in resources.files("spinpb.presets").iterdir()
-                 if r.name.endswith(".json")]
-        assert len(names) >= 15
-        for name in names:
-            raw = json.loads(
-                resources.files("spinpb.presets").joinpath(name).read_text())
+        assert len(PRESETS) >= 15
+        for name in PRESETS:
+            raw = load_preset(name)
             spec = sweep_spec_from_dict(raw)
             assert spec.observable in ("g2_numeric", "g2_analytic",
                                        "mandel_q", "g2_tau")
             assert "comment" in raw
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_runs(self, name, tmp_path):
+        """Each preset, every axis cut to 2 points, at its own truncation."""
+        raw = load_preset(name)
+        for key in ("axis1", "axis2"):
+            if raw.get(key):
+                raw[key]["points"] = 2
+        raw["output_path"] = str(tmp_path / "out.csv")
+        manifest = run_sweep(sweep_spec_from_dict(raw))
+        values = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1)
+        assert manifest.rows == values.shape[0] >= 2
+        assert np.isfinite(values).all()
+        assert manifest.failures == []
+        assert manifest.converged
