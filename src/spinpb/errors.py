@@ -26,4 +26,4 @@ class NonUniqueSteadyStateError(SolverError):
 
 
 class LiouvillianSizeError(SolverError):
-    """Requested superoperator exceeds the dense-size guard."""
+    """Requested superoperator dimension (dim^2) exceeds the size guard, 10^4."""

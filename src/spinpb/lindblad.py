@@ -11,8 +11,12 @@ optional cavity pure dephasing,
 
 with L_c(rho) = 2 c rho c+ - {c+c, rho}, so a mode's total energy decay
 rate is gamma.  Superoperators act on column-stacked density matrices.  L is
-the weighted sum of 11 fixed superoperators (7 Hamiltonian terms, 4 jumps),
-built once per truncation; the steady state LU-factors one copy of L in place.
+sparse (CSC) from assembly to solve: the weighted sum of 11 fixed
+superoperators (7 Hamiltonian terms, 4 jumps) whose union pattern and values
+are built once per truncation, so a build is one (nnz, 11) x 11 product; the
+steady state is a sparse LU (SuperLU) of the trace-constrained system.  The
+dense dim^2 x dim^2 matrix is formed only on request (``Liouvillian.matrix``),
+as an oracle view for checks.
 
 Two-time correlations use the regression property: the conditional operator
 a rho_ss a+ is propagated by the same generator as rho itself.  The generator
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +44,9 @@ from .errors import (
 # build_hamiltonian is unused here; perfbench/spans.py traces it by this name
 from .model import SystemParams, _coefficients, _terms, build_hamiltonian  # noqa: F401
 from .operators import HilbertConfig, embed_ops
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 _MAX_SUPER_DIM = 10_000       # refuse Liouvillians larger than this (dim^2)
 _HERMITICITY_TOL = 1e-10
@@ -83,26 +91,35 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Dense generator acting on column-stacked density matrices."""
+    """Sparse (CSC) generator acting on column-stacked density matrices."""
 
-    matrix: np.ndarray
+    generator: csc_array
     cfg: HilbertConfig
 
     @property
     def dim(self) -> int:
         return self.cfg.dim
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense copy of the generator, dim^2 x dim^2; an oracle view only."""
+        return self.generator.toarray()
+
 
 @functools.lru_cache
 def _generators(cfg: HilbertConfig):
-    """The 11 fixed superoperators of L, each flattened to a column (dim^4, 11).
+    """L's fixed CSC pattern and its value table, one column per weight.
 
+    Returns ``(table, indices, indptr)``: ``table`` is (nnz, 11), the values
+    of the 11 fixed superoperators on the union of their patterns, so L is
+    ``table @ weights`` on ``(indices, indptr)``.  The superoperators are
     -i(I x T - T^T x I) for the rows T of ``model._terms``, then
     c x c - (I x c^T c + c^T c x I)/2 for the real jumps c = a, m, m+, n_a.
     """
     from scipy import sparse
 
     dim = cfg.dim
+    n = dim**2
     eye = sparse.identity(dim)
     ops = embed_ops(cfg)
     supers = [-1j * (sparse.kron(eye, T) - sparse.kron(T.T, eye))
@@ -110,54 +127,77 @@ def _generators(cfg: HilbertConfig):
     supers += [sparse.kron(c, c) - 0.5 * (sparse.kron(eye, c.T @ c)
                                           + sparse.kron(c.T @ c, eye))
                for c in (ops.a.real, ops.m.real, ops.m_dag.real, ops.n_a.real)]
-    return sparse.hstack([s.reshape((dim**4, 1)) for s in supers], format="csc")
+    supers = [sparse.coo_array(s) for s in supers]
+    # column-major position of each entry: sorted keys are CSC order
+    keys = [s.col.astype(np.int64) * n + s.row for s in supers]
+    union = np.unique(np.concatenate(keys))
+    table = np.zeros((union.size, len(supers)), dtype=complex)
+    for column, (s, key) in enumerate(zip(supers, keys)):
+        np.add.at(table, (np.searchsorted(union, key), column), s.data)
+    indptr = np.searchsorted(union, np.arange(n + 1, dtype=np.int64) * n)
+    return table, (union % n).astype(np.int32), indptr.astype(np.int32)
 
 
 def build_liouvillian(params: SystemParams, cfg: HilbertConfig) -> Liouvillian:
-    """Assemble the dense master-equation generator.
+    """Assemble the sparse master-equation generator.
 
     L is the sum of the superoperators of ``_generators`` weighted by the
     seven Hamiltonian weights and the jump rates gamma, gamma (m_th + 1),
-    gamma m_th and gamma_p.  Refuses superoperator dimensions above 10^4.
+    gamma m_th and gamma_p, written straight into L's fixed CSC pattern; no
+    dense dim^2 x dim^2 array is formed.  Refuses superoperator dimensions
+    above 10^4.
     """
+    from scipy.sparse import csc_array
+
     if cfg.dim**2 > _MAX_SUPER_DIM:
         raise LiouvillianSizeError(
             f"superoperator dimension {cfg.dim**2} exceeds guard {_MAX_SUPER_DIM}")
     gamma = params.gamma
     weights = [*_coefficients(params, hermitian=True), gamma,
                gamma * (params.m_th + 1.0), gamma * params.m_th, params.gamma_p]
-    L = (_generators(cfg) @ np.array(weights)).reshape(cfg.dim**2, cfg.dim**2)
-    return Liouvillian(matrix=L, cfg=cfg)
+    table, indices, indptr = _generators(cfg)
+    generator = csc_array((table @ np.array(weights), indices, indptr),
+                          shape=(cfg.dim**2, cfg.dim**2))
+    return Liouvillian(generator=generator, cfg=cfg)
 
 
 def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Solve L rho = 0 with tr(rho) = 1 by trace-row replacement.
 
-    The first row of a Fortran-ordered copy of L is replaced by the
-    vectorized trace functional; the copy is LU-factored in place with row
-    pivoting (LAPACK getrf).  The result is Hermitized, checked against the
-    residual bound |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a
+    The vectorized trace functional is stacked over rows 1.. of L and the
+    sparse system is LU-factored by SuperLU (``splu``: COLAMD column
+    ordering, partial pivoting by row); a singular factor raises
+    ``NonUniqueSteadyStateError``.  The solution takes one step of iterative
+    refinement with the same factor.  The result is Hermitized, checked against
+    the residual bound |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a
     density matrix (``SolverError`` if it is not one).
     """
-    from scipy.linalg.lapack import zgetrf, zgetrs
+    from scipy.sparse import csc_array, vstack
+    from scipy.sparse.linalg import splu
 
-    L = liouvillian.matrix
+    L = liouvillian.generator
     dim = liouvillian.dim
-    system = np.array(L, dtype=complex, order="F")
-    system[0, :] = 0.0
-    system[0, ::dim + 1] = 1.0    # trace functional on column-stacked input
-    rhs = np.zeros(L.shape[0], dtype=complex)
+    diagonal = np.arange(0, dim**2, dim + 1)    # trace on column-stacked input
+    trace_row = csc_array((np.ones(dim, dtype=complex),
+                           (np.zeros(dim, dtype=np.int32), diagonal)),
+                          shape=(1, dim**2))
+    system = vstack([trace_row, L[1:]], format="csc")
+    rhs = np.zeros(dim**2, dtype=complex)
     rhs[0] = 1.0
-    lu, pivots, info = zgetrf(system, overwrite_a=True)
-    if info > 0:
+    try:
+        lu = splu(system)
+    except RuntimeError as err:    # SuperLU: "Factor is exactly singular"
         raise NonUniqueSteadyStateError(
-            "steady state is not unique (trace-constrained system singular)")
-    vec, _ = zgetrs(lu, pivots, rhs)
-    del system, lu    # free the factor before np.abs(L) below allocates
+            "steady state is not unique (trace-constrained system singular)") from err
+    vec = lu.solve(rhs)
+    # the two-photon populations are ~(E/gamma)^4; SuperLU's pivot order can
+    # leave them with few correct digits (g2 off by up to 5e-6) while the
+    # residual bound below still holds.  One refinement step restores them.
+    vec += lu.solve(rhs - system @ vec)
     rho = unvectorize(vec, dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.max(np.abs(L @ vectorize(rho)))
-    norm = np.max(np.abs(L))
+    norm = np.max(np.abs(L.data), initial=0.0)
     if residual > _STEADY_RESIDUAL_TOL * norm:
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.2e} exceeds {_STEADY_RESIDUAL_TOL:.0e}"
@@ -197,10 +237,9 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     Higham, SIAM J. Sci. Comput. 33, 488 (2011)) on the sparse generator; a
     zero step returns the vector unchanged.
     """
-    from scipy.sparse import csr_array
     from scipy.sparse.linalg import expm_multiply
 
-    generator = csr_array(liouvillian.matrix)
+    generator = liouvillian.generator
     out: list[np.ndarray] = []
     now = 0.0
     for t in times:

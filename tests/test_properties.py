@@ -1,7 +1,8 @@
 """Property tests over random weak-drive parameters (hypothesis).
 
 Each property is an independent oracle for one engine: the Liouvillian
-against the textbook master equation applied to each basis matrix, exact
+against the textbook master equation applied to each basis matrix, the
+sparse steady state against a dense solve of the same system, exact
 propagation against the dense matrix exponential, and the optimal-pair
 search against the amplitude it claims to cancel.  Examples are few and
 derandomized so the suite stays quick and repeatable.
@@ -17,11 +18,15 @@ from spinpb import (
     annihilation,
     build_hamiltonian,
     build_liouvillian,
+    embed_ops,
     evolve,
     find_optimal_pairs,
+    g2_zero,
+    mandel_q,
     steady_amplitudes,
+    steady_state,
 )
-from spinpb.lindblad import unvectorize, vectorize
+from spinpb.lindblad import DensityMatrix, unvectorize, vectorize
 from conftest import GAMMA, J, OMEGA_B, random_density
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -68,6 +73,29 @@ def test_liouvillian_matches_textbook_master_equation(params):
         textbook[:, col] = vectorize(master_equation(unvectorize(basis, dim)))
     L = build_liouvillian(params, cfg).matrix
     assert np.max(np.abs(L - textbook)) <= 1e-14 * np.max(np.abs(L))
+
+
+@settings(FEW, max_examples=40)
+@given(params=weak_drive_params, e=between(1e-3, 0.1),
+       n_magnon=st.integers(3, 5), n_photon=st.integers(3, 5))
+def test_sparse_steady_state_matches_dense_solve(params, e, n_magnon, n_photon):
+    # the oracle: np.linalg.solve on the trace-row system built from L.matrix
+    params = params.replace(E=e)
+    cfg = HilbertConfig(n_magnon, n_photon)
+    liou = build_liouvillian(params, cfg)
+    system = liou.matrix
+    system[0, :] = 0.0
+    system[0, ::cfg.dim + 1] = 1.0
+    rhs = np.zeros(cfg.dim**2, dtype=complex)
+    rhs[0] = 1.0
+    rho = unvectorize(np.linalg.solve(system, rhs), cfg.dim)
+    dense = DensityMatrix(0.5 * (rho + rho.conj().T))
+    sparse = steady_state(liou)
+    g2 = g2_zero(dense, cfg)
+    assert abs(g2_zero(sparse, cfg) - g2) <= 1e-10 * g2
+    # Q = n (g2 - 1) can cross zero: scale by n (g2 + 1), the size of its terms
+    n = np.real(np.trace(embed_ops(cfg).n_a @ dense.data))
+    assert abs(mandel_q(sparse, cfg) - mandel_q(dense, cfg)) <= 1e-10 * n * (g2 + 1)
 
 
 @FEW
