@@ -4,9 +4,17 @@ In the weak-drive limit the system state stays inside the subspace spanned
 by |m, n> with m + n <= 2.  The six amplitudes obey a closed linear ODE
 system; with c00 = 1 and the feedback of two excitations onto one dropped,
 the steady state is one block lower-triangular solve, and yields the
-equal-time photon correlation g2(0) = 2 |c02|^2 / |c01|^4.  Destructive interference between
-the drive pathway and the pair-source pathway makes c02 vanish on a
-discrete set of (delta, Lambda) points, located by ``find_optimal_pairs``.
+equal-time photon correlation g2(0) = 2 |c02|^2 / |c01|^4.  Destructive
+interference between the drive pathway and the pair-source pathway makes
+c02 vanish on a discrete set of (delta, Lambda) points, located by
+``find_optimal_pairs``.
+
+The solve is array-valued.  ``SystemParams`` fields may hold broadcastable
+arrays; then the weights, the 6x6 matrices and the 5x5 systems are stacked,
+all points are one LAPACK call, and ``g2_analytic`` returns an array.  A
+scalar point is the 0-d case, and every array element is bit-identical to
+its scalar evaluation: the map sweeps and the pair search's delta scan use
+the array form, brentq and ``steady_amplitudes`` the scalar one.
 
 scipy is imported inside the functions that use it, so importing the package
 (and the CLI's parse-only commands) does not load it.
@@ -73,26 +81,42 @@ class OptimalPair:
 
 
 def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
-    """Solve the steady amplitude hierarchy with c00 = 1 in one call.
+    """Solve the steady amplitude hierarchy of one point with c00 = 1."""
+    return AmplitudeVector(1.0 + 0.0j, *_amplitudes(params))
+
+
+def _amplitudes(params: SystemParams) -> np.ndarray:
+    """(c10, c01, c11, c02, c20) with c00 = 1, on a last axis: (..., 5).
 
     The hierarchy drops the drive feedback of two excitations onto one, so
-    ``_coefficient_matrix`` past c00 is a block lower-triangular system.
+    ``_coefficient_matrix`` past c00 is a block lower-triangular system; an
+    array of parameter points is one stacked solve.
     """
     M = _coefficient_matrix(params)
-    M[1:3, 3:6] = 0.0
+    M[..., 1:3, 3:6] = 0.0
     try:
-        c10, c01, c11, c02, c20 = np.linalg.solve(M[1:, 1:], -M[1:, 0])
+        c = np.linalg.solve(M[..., 1:, 1:], -M[..., 1:, :1])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("amplitude hierarchy is singular") from exc
-    return AmplitudeVector(1.0 + 0.0j, c10, c01, c11, c02, c20)
+    return c[..., 0]
 
 
-def g2_analytic(params: SystemParams) -> float:
-    """Equal-time second-order correlation 2 |c02|^2 / |c01|^4."""
-    amps = steady_amplitudes(params)
-    if amps.c01 == 0:
+def g2_analytic(params: SystemParams) -> float | np.ndarray:
+    """Equal-time second-order correlation 2 |c02|^2 / |c01|^4.
+
+    A float for scalar parameters, an array of their broadcast shape for
+    array-valued ones.  The squared moduli are written as products and sums
+    only, so an array element is bit-identical to its scalar evaluation.
+    """
+    c = _amplitudes(params)
+    c01, c02 = c[..., 1], c[..., 3]
+    n01 = c01.real * c01.real + c01.imag * c01.imag
+    n02 = c02.real * c02.real + c02.imag * c02.imag
+    denominator = n01 * n01          # |c01|^4, zero also once it underflows
+    if np.any(denominator == 0):
         raise UndefinedCorrelationError("c01 vanishes; g2(0) is undefined")
-    return 2.0 * abs(amps.c02) ** 2 / abs(amps.c01) ** 4
+    g2 = 2.0 * n02 / denominator
+    return float(g2) if np.ndim(g2) == 0 else g2
 
 
 def find_optimal_pairs(params: SystemParams,
@@ -117,18 +141,20 @@ def find_optimal_pairs(params: SystemParams,
         raise ConfigError("search box must have min < max on both axes "
                           "and Lambda >= 0")
 
-    def pathways(delta: float) -> tuple[complex, complex]:
+    def pathways(delta):
         point = params.replace(delta=delta)
-        a = steady_amplitudes(point.replace(Lambda=0.0)).c02
-        b = steady_amplitudes(point.replace(E=0.0, Lambda=1.0)).c02
+        a = _amplitudes(point.replace(Lambda=0.0))[..., 3]
+        b = _amplitudes(point.replace(E=0.0, Lambda=1.0))[..., 3]
         return a, b
 
-    def phase_mismatch(delta: float) -> float:
+    def phase_mismatch(delta):
+        # Im(a conj(b)) from real products: numpy's complex multiply can round
+        # an array element differently from the same scalar
         a, b = pathways(delta)
-        return (a * b.conjugate()).imag
+        return a.imag * b.real - a.real * b.imag
 
     deltas = np.linspace(d_lo, d_hi, _SCAN_POINTS)
-    values = np.array([phase_mismatch(d) for d in deltas])
+    values = phase_mismatch(deltas)
     # brackets skip exact zeros, which then lie inside a neighbouring
     # bracket; without drive the function vanishes everywhere: no root
     signed = np.flatnonzero(values)
@@ -151,9 +177,11 @@ def find_optimal_pairs(params: SystemParams,
 def _coefficient_matrix(params: SystemParams) -> np.ndarray:
     """Full 6x6 matrix M of i dC/dt = M C, order (c00, c10, c01, c11, c02, c20).
 
-    M is the m + n <= 2 block of the non-Hermitian Hamiltonian.
+    M is the m + n <= 2 block of the non-Hermitian Hamiltonian; array-valued
+    parameters give a stack of matrices, (..., 6, 6).
     """
-    return (_coefficients(params, hermitian=False) @ _BLOCK_TERMS).reshape(6, 6)
+    weights = _coefficients(params, hermitian=False)
+    return (weights @ _BLOCK_TERMS).reshape(*weights.shape[:-1], 6, 6)
 
 
 def evolve_amplitudes(params: SystemParams, t_final: float,

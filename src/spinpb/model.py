@@ -12,11 +12,10 @@ All rates and detunings are angular frequencies (rad/s).
 
 from __future__ import annotations
 
-import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +67,9 @@ class SpinGeometry:
 class SystemParams:
     """All physical rates of the reduced model, in rad/s.
 
+    Any field may instead hold a float array; arrays broadcast against each
+    other, and the amplitude engine then solves one point per element.
+
     Attributes
     ----------
     gamma : float
@@ -109,11 +111,14 @@ class SystemParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
+            lo = hi = value
+            if not isinstance(value, float):   # an array (or int): its extremes
+                lo, hi = np.min(value), np.max(value)   # NaN propagates
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-            if value <= 0 and name in ("gamma", "omega_b"):
+            if lo <= 0 and name in ("gamma", "omega_b"):
                 raise ConfigError(f"{name} must be positive")
-            if value < 0 and name in ("m_th", "gamma_p", "Lambda"):
+            if lo < 0 and name in ("m_th", "gamma_p", "Lambda"):
                 raise ConfigError(f"{name} must be non-negative")
 
     @property
@@ -122,7 +127,7 @@ class SystemParams:
         return self.E > 0.1 * self.gamma
 
     def replace(self, **changes) -> "SystemParams":
-        return replace(self, **changes)
+        return SystemParams(**{**vars(self), **changes})
 
 
 def sagnac_shift(geom: SpinGeometry, omega_rot: float,
@@ -148,11 +153,18 @@ def effective_kerr(K0: float, g: float, omega_b: float) -> float:
 
 
 def _coefficients(params: SystemParams, hermitian: bool) -> np.ndarray:
-    """Weights of the rows of ``_terms``: the H of ``build_hamiltonian``."""
+    """Weights of the rows of ``_terms``: the H of ``build_hamiltonian``.
+
+    Array-valued parameters broadcast; the weights are the last axis, (..., 7).
+    """
     decay = 0.0 if hermitian else -0.5j * params.gamma
-    pair = 1j * params.Lambda * cmath.exp(1j * params.beta)
-    return np.array([params.delta + params.delta_F + decay, params.delta + decay,
-                     params.K, params.J, pair, pair.conjugate(), params.E])
+    pair = 1j * params.Lambda * np.exp(1j * params.beta)
+    weights = (params.delta + params.delta_F + decay, params.delta + decay,
+               params.K, params.J, pair, np.conj(pair), params.E)
+    out = np.empty(np.broadcast(*weights).shape + (7,), dtype=complex)
+    for k, weight in enumerate(weights):
+        out[..., k] = weight
+    return out
 
 
 @functools.lru_cache

@@ -96,7 +96,10 @@ class SweepSpec:
                 raise ConfigError("observable g2_tau needs exactly one tau axis")
         elif tau_axes:
             raise ConfigError("a tau axis requires observable g2_tau")
-        if self.axis2 is not None and self.axis1.parameter == self.axis2.parameter:
+        # two unit spellings of one parameter are the same axis
+        if self.axis2 is not None and (
+                resolve_unit(self.axis1.parameter, 0.0, 1.0, 1.0)[0]
+                == resolve_unit(self.axis2.parameter, 0.0, 1.0, 1.0)[0]):
             raise ConfigError("axis1 and axis2 scan the same parameter")
 
 
@@ -130,8 +133,6 @@ def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
 
 
 def _eval_point(observable: str, params: SystemParams, cfg: HilbertConfig) -> float:
-    if observable == "g2_analytic":
-        return g2_analytic(params)
     rho = steady_state(build_liouvillian(params, cfg))
     if observable == "g2_numeric":
         return g2_zero(rho, cfg)
@@ -143,7 +144,9 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list]:
 
     Each row is (axis1_value, [axis2_value,] observable_value); a 1-D sweep
     is a grid with one column.  A g2_tau sweep computes one delay line per
-    point of its other axis.  Failed points carry NaN and a failure record
+    point of its other axis; a g2_analytic sweep solves each row (a 1-D
+    sweep's one column) as one array of parameter points, and redoes a row
+    that fails point by point.  Failed points carry NaN and a failure record
     with the index and value of each axis the failure covers.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
@@ -171,6 +174,24 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list]:
                 lines[j] = [g for _t, g in g2_tau(point, spec.cfg, values[t])]
             except (SolverError, np.linalg.LinAlgError) as exc:
                 record_failure(exc, {1 - t: j})
+    elif spec.observable == "g2_analytic":
+        # one array-valued call per row; a 1-D sweep is one row along axis 1
+        name, row = axes[-1].parameter, values[-1]
+        lines = grid if spec.axis2 is not None else grid.T
+        for j, line in enumerate(lines):
+            point = spec.base
+            if spec.axis2 is not None:
+                point = _apply_axis(point, spec.axis1.parameter, values[0][j])
+            try:
+                line[:] = g2_analytic(_apply_axis(point, name, row))
+            except (SolverError, np.linalg.LinAlgError):
+                # redo the row point by point: one NaN and record per failure
+                for i, v in enumerate(row):
+                    try:
+                        line[i] = g2_analytic(_apply_axis(point, name, v))
+                    except (SolverError, np.linalg.LinAlgError) as exc:
+                        record_failure(exc, {0: j, 1: i} if spec.axis2 is not None
+                                       else {0: i})
     else:
         for i1, v1 in enumerate(values[0]):
             point1 = _apply_axis(spec.base, spec.axis1.parameter, v1)

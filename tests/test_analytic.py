@@ -6,6 +6,7 @@ import pytest
 from spinpb import (
     ConfigError,
     SystemParams,
+    UndefinedCorrelationError,
     analytic,
     evolve_amplitudes,
     find_optimal_pairs,
@@ -141,11 +142,17 @@ class TestG2Analytic:
             assert g2_analytic(p) < 1e-10
 
     def test_undefined_without_photons(self):
-        from spinpb import UndefinedCorrelationError
-
         undriven = SystemParams(gamma=1.0, omega_b=20.0, J=2.0)
         with pytest.raises(UndefinedCorrelationError):
             g2_analytic(undriven)
+
+    def test_undefined_when_photon_population_underflows(self):
+        # |c01|^4 ~ 1e-360 is below the smallest double: no silent inf or nan
+        faint = SystemParams(gamma=1.0, omega_b=20.0, J=2.0, E=1e-90)
+        with pytest.raises(UndefinedCorrelationError):
+            g2_analytic(faint)
+        with pytest.raises(UndefinedCorrelationError):
+            g2_analytic(faint.replace(delta=np.array([0.0, 0.5])))
 
 
 class TestFindOptimalPairs:

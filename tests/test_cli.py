@@ -116,6 +116,18 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_two_spellings_of_one_axis_exit_two(self, tmp_path):
+        spec = {
+            "axis1": {"parameter": "delta", "min": 0, "max": 1, "points": 3},
+            "axis2": {"parameter": "delta_over_omega_b", "min": 0, "max": 1,
+                      "points": 2},
+            "observable": "g2_analytic",
+            "base": FLAT_PARAMS,
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["sweep"])

@@ -171,6 +171,24 @@ class TestSystemParams:
         with pytest.raises(ConfigError, match="finite"):
             SystemParams(**{"gamma": 1.0, "omega_b": 20.0, key: value})
 
+    @pytest.mark.parametrize("key", ["gamma", "omega_b", "delta", "J", "K",
+                                     "Lambda", "beta", "E", "delta_F", "m_th",
+                                     "gamma_p"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     -float("inf")])
+    def test_rejects_non_finite_array_element(self, key, bad):
+        values = np.full((2, 3), 0.5)
+        values[1, 2] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            SystemParams(**{"gamma": 1.0, "omega_b": 20.0, key: values})
+
+    @pytest.mark.parametrize("key", ["Lambda", "m_th", "gamma_p", "gamma",
+                                     "omega_b"])
+    def test_rejects_out_of_range_array_element(self, key):
+        values = np.array([0.5, 0.1, -1e-12, 0.3])
+        with pytest.raises(ConfigError):
+            SystemParams(**{"gamma": 1.0, "omega_b": 20.0, key: values})
+
     def test_weak_drive_flag(self):
         assert not SystemParams(gamma=1.0, omega_b=1.0, E=0.05).weak_drive_warning
         assert SystemParams(gamma=1.0, omega_b=1.0, E=0.2).weak_drive_warning

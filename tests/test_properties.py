@@ -3,8 +3,9 @@
 Each property is an independent oracle for one engine: the Liouvillian
 against the textbook master equation applied to each basis matrix, the
 sparse steady state against a dense solve of the same system, exact
-propagation against the dense matrix exponential, and the optimal-pair
-search against the amplitude it claims to cancel.  Examples are few and
+propagation against the dense matrix exponential, the optimal-pair search
+against the amplitude it claims to cancel, and the array-valued amplitude
+engine against its own scalar evaluation, bit for bit.  Examples are few and
 derandomized so the suite stays quick and repeatable.
 """
 
@@ -21,6 +22,7 @@ from spinpb import (
     embed_ops,
     evolve,
     find_optimal_pairs,
+    g2_analytic,
     g2_zero,
     mandel_q,
     steady_amplitudes,
@@ -122,3 +124,24 @@ def test_pair_search_roots_cancel_c02(k, e, f, beta):
         drive_only = abs(steady_amplitudes(point).c02)
         at_root = abs(steady_amplitudes(point.replace(Lambda=pair.lambda_opt)).c02)
         assert at_root <= 1e-10 * drive_only
+
+
+@FEW
+@given(params=weak_drive_params, e=between(1e-3, 0.1), f=between(0.01, 1.0),
+       beta=between(0.1, 2 * np.pi - 0.1), n=st.integers(1, 40),
+       m=st.integers(1, 9))
+def test_array_g2_analytic_is_scalar_bit_for_bit(params, e, f, beta, n, m):
+    deltas = np.linspace(-2.0, 2.0, n) + params.delta
+    lambdas = np.linspace(0.0, 0.05, m)
+    for sign in (1.0, -1.0):   # both Sagnac signs
+        point = params.replace(E=e, beta=beta, delta_F=sign * f)
+        line = g2_analytic(point.replace(delta=deltas))
+        grid = g2_analytic(point.replace(delta=deltas[:, None],
+                                         Lambda=lambdas[None, :]))
+        assert isinstance(line, np.ndarray) and line.shape == (n,)
+        assert type(g2_analytic(point)) is float
+        assert np.array_equal(
+            line, [g2_analytic(point.replace(delta=d)) for d in deltas])
+        assert np.array_equal(
+            grid, [[g2_analytic(point.replace(delta=d, Lambda=lam))
+                    for lam in lambdas] for d in deltas])

@@ -84,6 +84,20 @@ class TestSweepSpecValidation:
                       observable="g2_numeric", base=cw_base(),
                       output_path=str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize("first, second", [
+        ("delta", "delta_over_omega_b"),
+        ("E_over_gamma", "E"),
+        ("K_over_gamma", "K_over_omega_b"),
+    ])
+    def test_unit_spellings_of_one_parameter_rejected(self, tmp_path, first,
+                                                      second):
+        # axis 2 would overwrite axis 1 at every point
+        with pytest.raises(ConfigError, match="same parameter"):
+            SweepSpec(axis1=AxisSpec(first, 0, 1.0, 3),
+                      axis2=AxisSpec(second, 0, 2.0, 2),
+                      observable="g2_analytic", base=cw_base(),
+                      output_path=str(tmp_path / "x.csv"))
+
     def test_unknown_observable(self, tmp_path):
         with pytest.raises(ConfigError):
             SweepSpec(axis1=AxisSpec("delta", 0, 1.0, 4),
@@ -147,6 +161,36 @@ class TestRunSweep:
         assert all(row.endswith(",nan") for row in rows)
         assert len(manifest.failures) == 2
         assert not manifest.converged
+
+    @pytest.mark.parametrize("layout", ["E first", "E second", "E only"])
+    def test_analytic_map_failure_per_point(self, tmp_path, layout):
+        # at E = 0 the drive leaves c01 = 0: each such point is NaN plus one
+        # failure record, and the rest of its row is computed
+        drive = AxisSpec("E_over_gamma", -0.01, 0.01, 3)   # E = 0 in the middle
+        detuning = AxisSpec("delta_over_omega_b", -0.8, 0.8, 3)
+        axes = {"E first": [drive, detuning], "E second": [detuning, drive],
+                "E only": [drive]}[layout]
+        spec = SweepSpec(axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
+                         observable="g2_analytic", base=cw_base(),
+                         output_path=str(tmp_path / "map.csv"))
+        manifest = run_sweep(spec)
+        rows = [[float(tok) for tok in line.split(",")] for line in
+                (tmp_path / "map.csv").read_text().splitlines()[1:]]
+        e = axes.index(drive)
+        assert len(rows) == 3 ** len(axes)
+        for row in rows:
+            assert np.isnan(row[-1]) == (row[e] == 0.0)
+        expected = []
+        for index in np.ndindex(*(ax.points for ax in axes)):
+            if index[e] == 1:   # E = 0
+                record = {}
+                for k, (ax, i) in enumerate(zip(axes, index)):
+                    record[f"axis{k + 1}_index"] = i
+                    record[ax.parameter] = float(ax.values()[i])
+                expected.append({**record, "error": "UndefinedCorrelationError: "
+                                 "c01 vanishes; g2(0) is undefined"})
+        assert len(expected) == len(rows) // 3
+        assert manifest.failures == expected
 
     def test_two_dim_row_major(self, tmp_path):
         spec = SweepSpec(
