@@ -61,21 +61,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            raw = load_json(args.spec)
-            manifest = run_sweep(sweep_spec_from_dict(raw), spec_dict=raw)
+            manifest = run_sweep(sweep_spec_from_dict(load_json(args.spec)))
             print(f"wrote {manifest.rows} rows; config hash {manifest.config_hash}")
         elif args.command == "optimal":
-            raw = load_json(args.config)
-            params = params_from_dict(raw)
+            params = params_from_dict(load_json(args.config))
             manifest = run_optimal(params, _directions(args.direction),
-                                   args.output, spec_dict=raw)
+                                   args.output)
             print(f"wrote {manifest.rows} rows to {args.output}")
         elif args.command == "g2tau":
-            raw = load_json(args.config)
-            params = params_from_dict(raw)
-            cfg = hilbert_from_dict(None)
-            manifest = run_g2tau(params, cfg, args.tau_max, args.points,
-                                 args.output, spec_dict=raw)
+            params = params_from_dict(load_json(args.config))
+            manifest = run_g2tau(params, hilbert_from_dict(None), args.tau_max,
+                                 args.points, args.output)
             print(f"wrote {manifest.rows} rows to {args.output}")
         elif args.command == "validate":
             if args.spec:

@@ -28,10 +28,6 @@ _SUFFIXES = ("_over_gamma", "_over_omega_b")
 SPELLINGS = frozenset(PARAM_KEYS) | {k + s for k in RATE_KEYS for s in _SUFFIXES}
 REQUIRED_KEYS = ("gamma", "omega_b")
 
-OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")
-AXIS_KEYS = {"parameter", "min", "max", "points", "scale", "comment"}
-SWEEP_KEYS = {"axis1", "axis2", "observable", "base", "cfg", "output_path",
-              "comment"}
 HILBERT_KEYS = {"n_magnon", "n_photon", "comment"}
 
 

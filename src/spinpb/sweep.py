@@ -3,15 +3,17 @@
 A sweep evaluates one observable over a 1-D or 2-D grid, row-major with
 axis1 outermost, and writes full-precision CSV plus a JSON manifest with
 provenance (config hash, tool version, timing) and a truncation-convergence
-check.  Grid evaluation is sequential and deterministic: rerunning a spec
-produces a byte-identical CSV.
+check.  The grid is a float array, filled one line at a time (see
+``_grid_results``) and written and probed straight from that array.
+Evaluation is sequential and deterministic: rerunning a spec produces a
+byte-identical CSV.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -20,10 +22,7 @@ import numpy as np
 from . import __version__
 from .analytic import find_optimal_pairs, g2_analytic
 from .config import (
-    AXIS_KEYS,
-    OBSERVABLES,
     SPELLINGS,
-    SWEEP_KEYS,
     _require_number,
     config_hash,
     hilbert_from_dict,
@@ -38,11 +37,6 @@ from .model import SystemParams
 from .operators import HilbertConfig
 
 CONVERGENCE_BOUND = 1e-4   # relative change allowed from one extra Fock level
-
-
-def _format(value: float) -> str:
-    """Full-precision, byte-stable CSV float formatting."""
-    return format(value, ".17g")
 
 
 @dataclass(frozen=True)
@@ -127,7 +121,8 @@ class RunManifest:
             fh.write("\n")
 
 
-def _apply_axis(params: SystemParams, name: str, value: float) -> SystemParams:
+def _apply_axis(params: SystemParams, name: str,
+                value: float | np.ndarray) -> SystemParams:
     name, value = resolve_unit(name, value, params.gamma, params.omega_b)
     return params.replace(**{name: value})
 
@@ -139,73 +134,57 @@ def _eval_point(observable: str, params: SystemParams, cfg: HilbertConfig) -> fl
     return mandel_q(rho, cfg)
 
 
-def _grid_results(spec: SweepSpec) -> tuple[list, list]:
-    """Evaluate the grid row-major; returns (rows, failures).
+def _line(observable: str, point: SystemParams, cfg: HilbertConfig, name: str,
+          values: np.ndarray) -> np.ndarray:
+    """The observable at ``point`` with ``name`` (or tau) set to each value."""
+    if observable == "g2_tau":
+        return np.array([g for _t, g in g2_tau(point, cfg, values)])
+    if observable == "g2_analytic":
+        return g2_analytic(_apply_axis(point, name, values))
+    return np.array([_eval_point(observable, _apply_axis(point, name, v), cfg)
+                     for v in values])
 
-    Each row is (axis1_value, [axis2_value,] observable_value); a 1-D sweep
-    is a grid with one column.  A g2_tau sweep computes one delay line per
-    point of its other axis; a g2_analytic sweep solves each row (a 1-D
-    sweep's one column) as one array of parameter points, and redoes a row
-    that fails point by point.  Failed points carry NaN and a failure record
-    with the index and value of each axis the failure covers.
+
+def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
+    """Evaluate the grid; returns (axis values, grid, failures).
+
+    The grid has one dimension per axis and is filled one ``_line`` at a
+    time, along the tau axis of a g2_tau sweep and the last axis otherwise,
+    so a 1-D sweep is one line: one array-valued solve for g2_analytic, one
+    delay trace for g2_tau, one steady state per point for g2_numeric and
+    mandel_q.  A line that fails is redone one value at a time: each failed
+    cell is NaN with one failure record giving every axis's index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
-    values = [ax.values() for ax in axes]
-    grid = np.full((len(values[0]), 1 if spec.axis2 is None else len(values[1])),
-                   np.nan)
-    failures: list[dict] = []
-
-    def record_failure(exc: Exception, index: dict) -> None:
-        coord = {}
-        for k, i in index.items():
-            if k < len(axes):
-                coord[f"axis{k + 1}_index"] = i
-                coord[axes[k].parameter] = float(values[k][i])
-        failures.append({**coord, "error": f"{type(exc).__name__}: {exc}"})
-
-    if spec.observable == "g2_tau":
-        t = 0 if spec.axis1.parameter == "tau" else 1
-        lines = grid.T if t == 0 else grid   # row j: delays at other-axis point j
-        for j in range(lines.shape[0]):
-            point = spec.base
-            if spec.axis2 is not None:
-                point = _apply_axis(point, axes[1 - t].parameter, values[1 - t][j])
-            try:
-                lines[j] = [g for _t, g in g2_tau(point, spec.cfg, values[t])]
-            except (SolverError, np.linalg.LinAlgError) as exc:
-                record_failure(exc, {1 - t: j})
-    elif spec.observable == "g2_analytic":
-        # one array-valued call per row; a 1-D sweep is one row along axis 1
-        name, row = axes[-1].parameter, values[-1]
-        lines = grid if spec.axis2 is not None else grid.T
-        for j, line in enumerate(lines):
-            point = spec.base
-            if spec.axis2 is not None:
-                point = _apply_axis(point, spec.axis1.parameter, values[0][j])
-            try:
-                line[:] = g2_analytic(_apply_axis(point, name, row))
-            except (SolverError, np.linalg.LinAlgError):
-                # redo the row point by point: one NaN and record per failure
-                for i, v in enumerate(row):
-                    try:
-                        line[i] = g2_analytic(_apply_axis(point, name, v))
-                    except (SolverError, np.linalg.LinAlgError) as exc:
-                        record_failure(exc, {0: j, 1: i} if spec.axis2 is not None
-                                       else {0: i})
-    else:
-        for i1, v1 in enumerate(values[0]):
-            point1 = _apply_axis(spec.base, spec.axis1.parameter, v1)
-            for i2 in range(grid.shape[1]):
-                point = point1 if spec.axis2 is None else _apply_axis(
-                    point1, spec.axis2.parameter, values[1][i2])
+    names, values = [ax.parameter for ax in axes], [ax.values() for ax in axes]
+    k = names.index("tau") if "tau" in names else len(axes) - 1
+    grid = np.full([len(v) for v in values], np.nan)
+    errors = []
+    # row j is a view of the line at index j of the other axis
+    lines = np.moveaxis(grid, k, -1).reshape(-1, len(values[k]))
+    for j, line in enumerate(lines):
+        point = spec.base
+        if len(axes) == 2:
+            point = _apply_axis(point, names[1 - k], values[1 - k][j])
+        try:
+            line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
+        except (SolverError, np.linalg.LinAlgError):
+            for i in range(len(line)):
                 try:
-                    grid[i1, i2] = _eval_point(spec.observable, point, spec.cfg)
+                    line[i] = _line(spec.observable, point, spec.cfg, names[k],
+                                    values[k][i:i + 1])[0]
                 except (SolverError, np.linalg.LinAlgError) as exc:
-                    record_failure(exc, {0: i1, 1: i2})
-
-    rows = [(*(float(v[i]) for v, i in zip(values, index)), float(grid[index]))
-            for index in np.ndindex(grid.shape)]
-    return rows, failures
+                    index = [j] * len(axes)   # the other axis at j, this one at i
+                    index[k] = i
+                    errors.append((tuple(index), f"{type(exc).__name__}: {exc}"))
+    failures = []
+    for index, error in sorted(errors):   # row-major, as the CSV
+        record = {}
+        for n, i in enumerate(index):
+            record[f"axis{n + 1}_index"] = i
+            record[names[n]] = float(values[n][i])
+        failures.append({**record, "error": error})
+    return values, grid, failures
 
 
 def _probe(observable: str, point: SystemParams, cfg: HilbertConfig,
@@ -228,48 +207,61 @@ def _probe(observable: str, point: SystemParams, cfg: HilbertConfig,
     return delta, delta < CONVERGENCE_BOUND, []
 
 
-def _convergence_check(spec: SweepSpec, rows: list) -> tuple[float | None, bool, list]:
+def _at(spec: SweepSpec, coords) -> tuple[SystemParams, object]:
+    """The parameter point(s) and the delay at one value (or array) per axis."""
+    point, tau = spec.base, None
+    for ax, coord in zip((spec.axis1, spec.axis2), coords):
+        if ax.parameter == "tau":
+            tau = coord
+        else:
+            point = _apply_axis(point, ax.parameter, coord)
+    return point, tau
+
+
+def _convergence_check(spec: SweepSpec, coords: list,
+                       grid: np.ndarray) -> tuple[float | None, bool, list]:
     """Probe the most sensitive grid point: the smallest observable value.
 
-    The analytic observable has no truncation, so its delta is 0 by
-    construction.
+    That is the first smallest finite cell in row-major order.  The analytic
+    observable has no truncation, so its delta is 0 by construction.
     """
     if spec.observable == "g2_analytic":
         return 0.0, True, ["analytic observable: truncation-free, delta is 0"]
-    finite = [r for r in rows if np.isfinite(r[-1])]
-    if not finite:
+    finite = np.isfinite(grid)
+    if not finite.any():
         return None, False, ["no finite grid point; convergence not checkable"]
-    row = min(finite, key=lambda r: r[-1])
-    point, tau = spec.base, None
-    for ax, value in zip((spec.axis1, spec.axis2), row[:-1]):
-        if ax.parameter == "tau":
-            tau = value
-        else:
-            point = _apply_axis(point, ax.parameter, value)
-    return _probe(spec.observable, point, spec.cfg, row[-1], tau)
+    index = np.unravel_index(np.argmin(np.where(finite, grid, np.inf)), grid.shape)
+    point, tau = _at(spec, [float(c[index]) for c in coords])
+    return _probe(spec.observable, point, spec.cfg, float(grid[index]), tau)
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _write_csv(path: Path, header: list[str], table) -> None:
+    """Write ``table`` (rows of floats) with every value in '%.17g'."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    template = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format(v) for v in row) + "\n")
+        for row in np.asarray(table, dtype=float):   # no formatted copy is held
+            fh.write(template % tuple(row.tolist()))
 
 
-def _finish(output_path, header: list[str], rows: list, failures: list,
+def _finish(output_path, header: list[str], table, failures: list,
             check: tuple[float | None, bool, list], observable: str,
-            params: SystemParams, cfg: HilbertConfig | None,
-            spec_dict: dict | None, t0: float) -> RunManifest:
-    """Write the CSV and its manifest; ``check`` is (delta, converged, notes)."""
+            params: SystemParams, points: SystemParams,
+            cfg: HilbertConfig | None, inputs: dict, t0: float) -> RunManifest:
+    """Write the CSV and its manifest; ``check`` is (delta, converged, notes).
+
+    ``points`` (arrays for a grid) are checked for the weak-drive flag, and
+    ``inputs``, the run's parsed inputs, are hashed.
+    """
     delta, converged, notes = check
-    if params.weak_drive_warning:
+    if np.any(points.weak_drive_warning):
         notes = notes + ["weak-drive flag: E > 0.1 gamma, the excitation "
                          "hierarchy may not hold"]
     out = Path(output_path)
-    _write_csv(out, header, rows)
+    _write_csv(out, header, table)
     manifest = RunManifest(
-        config_hash=config_hash(spec_dict if spec_dict is not None else {}),
+        config_hash=config_hash(inputs),
         tool_version=__version__,
         timestamp=datetime.now(timezone.utc).isoformat(),
         duration_s=time.monotonic() - t0,
@@ -278,10 +270,9 @@ def _finish(output_path, header: list[str], rows: list, failures: list,
         observable=observable,
         params_rad_per_s=params_to_dict(params),
         params_reduced=params_reduced_dict(params),
-        cfg={} if cfg is None else {"n_magnon": cfg.n_magnon,
-                                    "n_photon": cfg.n_photon},
+        cfg={} if cfg is None else asdict(cfg),
         failures=failures,
-        rows=len(rows),
+        rows=len(table),
         notes=notes,
     )
     manifest.write(manifest_path_for(out))
@@ -292,34 +283,32 @@ def manifest_path_for(csv_path) -> Path:
     return Path(str(csv_path) + ".manifest.json")
 
 
-def run_sweep(spec: SweepSpec, spec_dict: dict | None = None) -> RunManifest:
+def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute a sweep: evaluate the grid, write CSV and manifest."""
     t0 = time.monotonic()
-    rows, failures = _grid_results(spec)
-    header = ["axis1_value", "observable_value"]
-    if spec.axis2 is not None:
-        header = ["axis1_value", "axis2_value", "observable_value"]
-    return _finish(spec.output_path, header, rows, failures,
-                   _convergence_check(spec, rows), spec.observable, spec.base,
-                   spec.cfg, spec_dict, t0)
+    values, grid, failures = _grid_results(spec)
+    coords = np.meshgrid(*values, indexing="ij")
+    header = ["axis1_value", "axis2_value"][:len(values)] + ["observable_value"]
+    table = np.column_stack([c.ravel() for c in coords] + [grid.ravel()])
+    return _finish(spec.output_path, header, table, failures,
+                   _convergence_check(spec, coords, grid), spec.observable,
+                   spec.base, _at(spec, coords)[0], spec.cfg, asdict(spec), t0)
 
 
 def run_optimal(params: SystemParams, directions: list[str], output_path,
                 delta_range: tuple[float, float] = (-1.0, 1.0),
-                lambda_range: tuple[float, float] = (0.0, 1.0e-5),
-                spec_dict: dict | None = None) -> RunManifest:
+                lambda_range: tuple[float, float] = (0.0, 1.0e-5)) -> RunManifest:
     """Root-search per drive direction; CSV of the located optimal pairs.
 
     Directions are 'cw' (delta_F = +|delta_F|) or 'ccw' (delta_F =
-    -|delta_F|).  A direction with no root in the box emits one warning row
-    of NaNs rather than failing.
+    -|delta_F|), each at most once.  A direction with no root in the box
+    emits one warning row of NaNs rather than failing.
     """
     t0 = time.monotonic()
-    rows = []
-    failures = []
+    if set(directions) - {"cw", "ccw"} or len(set(directions)) < len(directions):
+        raise ConfigError(f"directions must be distinct cw or ccw, got {directions}")
+    rows, failures = [], []
     for direction in directions:
-        if direction not in ("cw", "ccw"):
-            raise ConfigError(f"unknown direction '{direction}'")
         shift = abs(params.delta_F) if direction == "cw" else -abs(params.delta_F)
         point = params.replace(delta_F=shift)
         pairs = find_optimal_pairs(point, delta_range, lambda_range)
@@ -333,15 +322,17 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
             rows.append((shift / params.gamma, pair.delta_opt_over_omega_b,
                          pair.lambda_opt_over_omega_b, pair.residual))
     check = (0.0, True, ["pair search is analytic: truncation-free, delta is 0"])
+    inputs = {"params": params_to_dict(params), "directions": directions,
+              "delta_range": delta_range, "lambda_range": lambda_range,
+              "output_path": str(output_path)}
     return _finish(output_path, ["delta_F_over_gamma", "delta_opt_over_omega_b",
                                  "lambda_opt_over_omega_b", "residual"],
-                   rows, failures, check, "optimal_pairs", params, None,
-                   spec_dict, t0)
+                   rows, failures, check, "optimal_pairs", params, params, None,
+                   inputs, t0)
 
 
 def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
-              points: int, output_path,
-              spec_dict: dict | None = None) -> RunManifest:
+              points: int, output_path) -> RunManifest:
     """Linear delay grid from 0 to tau_max; CSV of (tau, g2(tau)).
 
     A solver error is raised, not recorded: the trace has a single
@@ -355,9 +346,17 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     taus = [0.0] if points == 1 else list(np.linspace(0.0, tau_max, points))
     rows = g2_tau(params, cfg, taus)
     tau, low = min(rows, key=lambda r: r[1])
+    inputs = {"params": params_to_dict(params), "cfg": asdict(cfg),
+              "tau_max": tau_max, "points": points, "output_path": str(output_path)}
     return _finish(output_path, ["tau", "g2"], rows, [],
                    _probe("g2_tau", params, cfg, low, tau), "g2_tau", params,
-                   cfg, spec_dict, t0)
+                   params, cfg, inputs, t0)
+
+
+OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")
+AXIS_KEYS = {"parameter", "min", "max", "points", "scale", "comment"}
+SWEEP_KEYS = {"axis1", "axis2", "observable", "base", "cfg", "output_path",
+              "comment"}
 
 
 def sweep_spec_from_dict(raw: dict) -> SweepSpec:

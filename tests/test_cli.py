@@ -156,6 +156,12 @@ class TestOptimalCommand:
                      "--direction", "sideways",
                      "--output", str(tmp_path / "x.csv")]) == 2
 
+    def test_repeated_direction_exits_two(self, params_file, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(["optimal", "--config", params_file,
+                     "--direction", "cw,cw", "--output", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestG2TauCommand:
     def test_small_trace(self, params_file, tmp_path):

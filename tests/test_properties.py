@@ -4,13 +4,14 @@ Each property is an independent oracle for one engine: the Liouvillian
 against the textbook master equation applied to each basis matrix, the
 sparse steady state against a dense solve of the same system, exact
 propagation against the dense matrix exponential, the optimal-pair search
-against the amplitude it claims to cancel, and the array-valued amplitude
-engine against its own scalar evaluation, bit for bit.  Examples are few and
-derandomized so the suite stays quick and repeatable.
+against the amplitude it claims to cancel, the array-valued amplitude
+engine against its own scalar evaluation, bit for bit, and the CSV writer
+against per-value ``format``.  Examples are few and derandomized so the suite
+stays quick and repeatable.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from spinpb import (
@@ -29,6 +30,7 @@ from spinpb import (
     steady_state,
 )
 from spinpb.lindblad import DensityMatrix, unvectorize, vectorize
+from spinpb.sweep import _write_csv
 from conftest import GAMMA, J, OMEGA_B, random_density
 
 FEW = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -145,3 +147,23 @@ def test_array_g2_analytic_is_scalar_bit_for_bit(params, e, f, beta, n, m):
         assert np.array_equal(
             grid, [[g2_analytic(point.replace(delta=d, Lambda=lam))
                     for lam in lambdas] for d in deltas])
+
+
+# any float: NaN, +-inf, -0.0 and subnormals included
+tables = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.floats(), min_size=width, max_size=width),
+    min_size=1, max_size=20))
+
+
+@settings(FEW, max_examples=200)
+@given(rows=tables)
+@example(rows=[[-0.0, 5e-324, float("nan")],
+               [float("inf"), -float("inf"), 2.2250738585072009e-308]])
+def test_csv_writer_is_per_value_format(rows, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "csv" / "table.csv"
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    expected = ",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in rows)
+    for table in (rows, np.array(rows)):   # the optimal and the sweep form
+        _write_csv(path, header, table)
+        assert path.read_bytes() == expected.encode()

@@ -1,6 +1,7 @@
 """Sweep execution: grids, CSV format, manifests, determinism."""
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -10,15 +11,20 @@ from spinpb import (
     AxisSpec,
     ConfigError,
     HilbertConfig,
+    SolverError,
     SweepSpec,
     SystemParams,
     build_liouvillian,
+    g2_analytic,
+    g2_tau,
     g2_zero,
+    mandel_q,
     run_g2tau,
     run_optimal,
     run_sweep,
     steady_state,
 )
+from spinpb.config import config_hash
 from spinpb.sweep import manifest_path_for, sweep_spec_from_dict
 from conftest import GAMMA, J, OMEGA_B
 
@@ -108,7 +114,7 @@ class TestSweepSpecValidation:
 class TestRunSweep:
     def test_analytic_scan_csv_and_manifest(self, tmp_path):
         spec = small_analytic_spec(tmp_path)
-        manifest = run_sweep(spec, spec_dict={"tag": 1})
+        manifest = run_sweep(spec)
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert lines[0] == "axis1_value,observable_value"
         assert len(lines) == 6
@@ -132,9 +138,9 @@ class TestRunSweep:
                      "Lambda_over_omega_b": 2.46157e-6},
             "output_path": str(tmp_path / "a.csv"),
         }
-        m1 = run_sweep(sweep_spec_from_dict(spec_dict), spec_dict)
+        m1 = run_sweep(sweep_spec_from_dict(spec_dict))
         first = (tmp_path / "a.csv").read_bytes()
-        m2 = run_sweep(sweep_spec_from_dict(spec_dict), spec_dict)
+        m2 = run_sweep(sweep_spec_from_dict(spec_dict))
         second = (tmp_path / "a.csv").read_bytes()
         assert first == second
         assert m1.config_hash == m2.config_hash
@@ -244,14 +250,86 @@ class TestRunSweep:
                          cfg=HilbertConfig(3, 3),
                          output_path=str(tmp_path / "tau.csv"))
         manifest = run_sweep(spec)
-        index = "axis2_index" if tau_first else "axis1_index"
+        # one record per cell of the failed line, in row-major order
+        keys = ["axis1_index", "axis2_index"]
+        t, e = keys if tau_first else keys[::-1]
+        expected = [{t: i, "tau": tau, e: 0, "E_over_gamma": 0.0}
+                    for i, tau in enumerate((0.0, 0.5, 1.0))]
         assert [{k: v for k, v in f.items() if k != "error"}
-                for f in manifest.failures] == [{index: 0, "E_over_gamma": 0.0}]
+                for f in manifest.failures] == expected
         rows = [line.split(",") for line in
                 (tmp_path / "tau.csv").read_text().splitlines()[1:]]
         e_col = 1 if tau_first else 0
         assert all((row[2] == "nan") == (float(row[e_col]) == 0.0)
                    for row in rows)
+
+    @pytest.mark.parametrize("layout", ["1-D", "E first", "E second"])
+    @pytest.mark.parametrize("observable", ["g2_analytic", "g2_numeric",
+                                            "mandel_q", "g2_tau"])
+    def test_every_cell_is_its_point_or_one_failure(self, tmp_path, observable,
+                                                    layout):
+        # without a pair source, E = 0 leaves no photons: each such cell is NaN
+        # with one record, and every other cell is its own evaluation
+        base, cfg = cw_base().replace(Lambda=0.0), HilbertConfig(3, 3)
+        drive = AxisSpec("E_over_gamma", -0.01, 0.01, 3)   # E = 0 in the middle
+        other = (AxisSpec("tau", 0.0, 1e-6, 2) if observable == "g2_tau"
+                 else AxisSpec("delta_over_omega_b", -0.8, 0.8, 2))
+        axes = {"1-D": [drive], "E first": [drive, other],
+                "E second": [other, drive]}[layout]
+        if observable == "g2_tau" and layout == "1-D":   # one all-vacuum line
+            axes, base = [other], base.replace(E=0.0)
+        spec = SweepSpec(axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
+                         observable=observable, base=base, cfg=cfg,
+                         output_path=str(tmp_path / "grid.csv"))
+        manifest = run_sweep(spec)
+        table = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1,
+                           ndmin=2)
+        records = {tuple(f[f"axis{n + 1}_index"] for n in range(len(axes))): f
+                   for f in manifest.failures}
+        assert len(records) == len(manifest.failures)
+        vacuum = 0
+        for index, row in zip(np.ndindex(*(ax.points for ax in axes)), table):
+            point, tau = base, None
+            for ax, value in zip(axes, row[:-1]):
+                if ax.parameter == "tau":
+                    tau = value
+                elif ax.parameter == "E_over_gamma":
+                    point = point.replace(E=value * base.gamma)
+                else:
+                    point = point.replace(delta=value * base.omega_b)
+            vacuum += point.E == 0.0
+            try:
+                if observable == "g2_analytic":
+                    expected = g2_analytic(point)
+                elif observable == "g2_tau":
+                    expected = dict(g2_tau(point, cfg, other.values()))[tau]
+                else:
+                    rho = steady_state(build_liouvillian(point, cfg))
+                    expected = (g2_zero if observable == "g2_numeric"
+                                else mandel_q)(rho, cfg)
+            except SolverError as exc:
+                assert np.isnan(row[-1])
+                coords = {}
+                for n, (ax, i) in enumerate(zip(axes, index)):
+                    coords[f"axis{n + 1}_index"] = i
+                    coords[ax.parameter] = float(ax.values()[i])
+                assert records.pop(index) == {
+                    **coords, "error": f"{type(exc).__name__}: {exc}"}
+            else:
+                assert row[-1] == expected
+        assert records == {}
+        assert len(manifest.failures) == vacuum > 0
+
+    @pytest.mark.parametrize("e_max, noted", [(0.2, True), (0.1, False)])
+    def test_swept_drive_past_weak_limit_noted(self, tmp_path, e_max, noted):
+        # the base drive is weak; the flag must come from the swept points
+        spec = SweepSpec(axis1=AxisSpec("delta_over_omega_b", -0.8, 0.8, 2),
+                         axis2=AxisSpec("E_over_gamma", 0.05, e_max, 2),
+                         observable="g2_analytic", base=cw_base(),
+                         output_path=str(tmp_path / "drive.csv"))
+        assert not spec.base.weak_drive_warning
+        notes = run_sweep(spec).notes
+        assert any(n.startswith("weak-drive flag") for n in notes) == noted
 
     def test_unwritable_path_raises_io_error(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -304,6 +382,40 @@ class TestRunOptimal:
     def test_unknown_direction(self, tmp_path, working_params):
         with pytest.raises(ConfigError):
             run_optimal(working_params, ["up"], tmp_path / "x.csv")
+
+    def test_repeated_direction(self, tmp_path, working_params):
+        with pytest.raises(ConfigError, match="distinct"):
+            run_optimal(working_params, ["cw", "cw"], tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+
+class TestConfigHash:
+    """The manifest's hash identifies the inputs each command parsed."""
+
+    def test_sweep_hashes_its_spec(self, tmp_path):
+        spec = small_analytic_spec(tmp_path, points=3)
+        assert run_sweep(spec).config_hash == config_hash(asdict(spec))
+        other = small_analytic_spec(tmp_path, points=4)
+        assert run_sweep(other).config_hash != config_hash(asdict(spec))
+
+    def test_optimal_hash_covers_directions_and_box(self, tmp_path,
+                                                    working_params):
+        out = tmp_path / "opt.csv"
+        hashes = [run_optimal(working_params, directions, out, **box).config_hash
+                  for directions, box in [(["cw"], {}), (["cw"], {}),
+                                          (["cw", "ccw"], {}),
+                                          (["cw"], {"delta_range": (-1.0, 0.0)})]]
+        assert hashes[0] == hashes[1]
+        assert len(set(hashes)) == 3
+
+    def test_g2tau_hash_covers_the_delay_grid(self, tmp_path):
+        p, cfg = cw_base(), HilbertConfig(3, 3)
+        out = tmp_path / "tau.csv"
+        hashes = [run_g2tau(p, cfg, tau_max, points, out).config_hash
+                  for tau_max, points in [(1e-6, 2), (2e-6, 2), (1e-6, 3)]]
+        assert len(set(hashes)) == 3
+        assert run_g2tau(p, HilbertConfig(4, 3), 1e-6, 2, out).config_hash \
+            not in hashes
 
 
 class TestRunG2Tau:
