@@ -128,6 +128,65 @@ class TestSweepCommand:
         assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_bad_truncation_exits_two(self, tmp_path, capsys):
+        spec = {
+            "axis1": {"parameter": "delta", "min": 0, "max": 1, "points": 2},
+            "observable": "g2_numeric",
+            "base": FLAT_PARAMS,
+            "cfg": {"n_magnon": 2, "n_photon": 5},
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        path = write_json(tmp_path / "s.json", spec)
+        assert main(["validate", "--spec", path]) == 2
+        assert main(["sweep", "--spec", path]) == 2
+        assert "truncation must keep Fock levels" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("axis2", [{}, False, [], 0, ""])
+    def test_empty_axis2_is_not_absent(self, tmp_path, capsys, axis2):
+        spec = {
+            "axis1": {"parameter": "delta", "min": 0, "max": 1, "points": 2},
+            "axis2": axis2,
+            "observable": "g2_analytic",
+            "base": FLAT_PARAMS,
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 2
+        assert not (tmp_path / "x.csv").exists()
+        if axis2 == {}:
+            assert "axis missing required key 'parameter'" in capsys.readouterr().err
+
+    def test_null_axis2_is_absent(self, tmp_path):
+        spec = {
+            "axis1": {"parameter": "delta", "min": 0, "max": 1, "points": 2},
+            "axis2": None,
+            "observable": "g2_analytic",
+            "base": FLAT_PARAMS,
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        assert main(["sweep", "--spec", write_json(tmp_path / "s.json", spec)]) == 0
+        assert (tmp_path / "x.csv").read_text().startswith(
+            "axis1_value,observable_value\n")
+
+    @pytest.mark.parametrize("where, key", [("axis1", "parameter"),
+                                            ("axis1", "scale"),
+                                            (None, "observable"),
+                                            (None, "output_path")])
+    @pytest.mark.parametrize("value", [["delta"], 5])
+    def test_non_string_exits_two(self, tmp_path, capsys, where, key, value):
+        spec = {
+            "axis1": {"parameter": "delta", "min": 1, "max": 2, "points": 2,
+                      "scale": "log"},
+            "observable": "g2_analytic",
+            "base": FLAT_PARAMS,
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        (spec[where] if where else spec)[key] = value
+        path = write_json(tmp_path / "s.json", spec)
+        assert main(["validate", "--spec", path]) == 2
+        assert main(["sweep", "--spec", path]) == 2
+        assert "must be a string" in capsys.readouterr().err
+
     def test_missing_flag_exits_two(self):
         with pytest.raises(SystemExit) as err:
             main(["sweep"])

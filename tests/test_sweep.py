@@ -24,7 +24,7 @@ from spinpb import (
     run_sweep,
     steady_state,
 )
-from spinpb.config import config_hash
+from spinpb.config import config_hash, params_from_dict
 from spinpb.sweep import manifest_path_for, sweep_spec_from_dict
 from conftest import GAMMA, J, OMEGA_B
 
@@ -407,6 +407,29 @@ class TestConfigHash:
                                           (["cw"], {"delta_range": (-1.0, 0.0)})]]
         assert hashes[0] == hashes[1]
         assert len(set(hashes)) == 3
+
+    def test_hash_of_fixed_inputs_is_pinned(self, tmp_path, monkeypatch):
+        """The hashes of one parsed sweep spec and one optimal input.
+
+        Integer JSON values pin the parsed types too: ``min`` and ``gamma``
+        parse to floats, ``points`` and the truncation stay integers.
+        """
+        monkeypatch.chdir(tmp_path)
+        base = {"gamma": 2, "omega_b": 40, "J_over_gamma": 13, "E": 0.01,
+                "Lambda_over_omega_b": 2.5e-6, "delta_F_over_gamma": 0.5,
+                "comment": "not hashed"}
+        spec = sweep_spec_from_dict({
+            "axis1": {"parameter": "delta_over_omega_b", "min": -1, "max": 1,
+                      "points": 3},
+            "axis2": {"parameter": "K", "min": 0.1, "max": 1, "points": 2,
+                      "scale": "log"},
+            "observable": "g2_analytic", "base": base,
+            "cfg": {"n_magnon": 4, "n_photon": 3}, "output_path": "map.csv"})
+        assert run_sweep(spec).config_hash == (
+            "5d09ff9a2ae2b71689a97584054b4c61b45cc6a9e8c1afc041089c2a86f7015c")
+        optimal = run_optimal(params_from_dict(base), ["cw", "ccw"], "opt.csv")
+        assert optimal.config_hash == (
+            "b8d2d0313359a891abccf8c6aff0ec9b3c565932da9fd2d080b2cca131031f70")
 
     def test_g2tau_hash_covers_the_delay_grid(self, tmp_path):
         p, cfg = cw_base(), HilbertConfig(3, 3)
