@@ -1,11 +1,16 @@
 """JSON configuration parsing, unit resolution, and config hashing.
 
-System parameters are a flat JSON object with keys gamma, delta, omega_b,
-J, K, Lambda, beta, E, delta_F, m_th, gamma_p.  Every rate key may instead
-be given in reduced units through a companion key suffixed ``_over_gamma``
-or ``_over_omega_b``; supplying more than one spelling of the same quantity
-is a config error, as is any unrecognized key (anti-typo policy).  A
-``comment`` key is allowed anywhere and ignored.
+Every JSON object is parsed by ``_parse_object`` against a dataclass: its
+keys are the dataclass's fields, a field without a default is required, a
+``comment`` key is allowed anywhere and ignored, and any other key is a
+config error (anti-typo policy).  Each key has one converter that checks its
+JSON type: a finite number, an integer, a string, or a nested object.
+
+System parameters are a flat object over ``SystemParams``: gamma, delta,
+omega_b, J, K, Lambda, beta, E, delta_F, m_th, gamma_p.  Every rate key may
+instead be given in reduced units through a companion key suffixed
+``_over_gamma`` or ``_over_omega_b``; supplying more than one spelling of the
+same quantity is a config error.
 """
 
 from __future__ import annotations
@@ -13,25 +18,22 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any
+from dataclasses import MISSING, fields
+from typing import Any, Callable
 
 from .errors import ConfigError
 from .model import SystemParams
 from .operators import HilbertConfig
 
-PARAM_KEYS = ("gamma", "delta", "omega_b", "J", "K", "Lambda", "beta", "E",
-              "delta_F", "m_th", "gamma_p")
 # keys that carry rad/s units and accept reduced-unit companions
 RATE_KEYS = ("delta", "J", "K", "Lambda", "E", "delta_F", "gamma_p")
 _SUFFIXES = ("_over_gamma", "_over_omega_b")
 # every key a parameter may be spelled by: absolute or reduced units
-SPELLINGS = frozenset(PARAM_KEYS) | {k + s for k in RATE_KEYS for s in _SUFFIXES}
-REQUIRED_KEYS = ("gamma", "omega_b")
-
-HILBERT_KEYS = {"n_magnon", "n_photon", "comment"}
+SPELLINGS = frozenset(f.name for f in fields(SystemParams)) | {
+    k + s for k in RATE_KEYS for s in _SUFFIXES}
 
 
-def _require_number(value: Any, key: str) -> float:
+def _number(value: Any, key: str) -> float:
     try:   # isfinite raises for a non-number and for an int beyond float range
         if not isinstance(value, bool) and math.isfinite(value):
             return float(value)
@@ -40,34 +42,50 @@ def _require_number(value: Any, key: str) -> float:
     raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
 
 
+def _integer(value: Any, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _string(value: Any, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key '{key}' must be a string, got {value!r}")
+    return value
+
+
+def _parse_object(cls: type, raw: Any, converters: dict[str, Callable],
+                  what: str) -> dict:
+    """The converted values of the JSON object ``raw``, keyed as in ``raw``.
+
+    ``converters`` maps each allowed key to ``convert(value, key)``; any
+    other key but ``comment`` is rejected, as is a missing field of the
+    dataclass ``cls`` that has no default.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} spec must be a JSON object")
+    unknown = set(raw) - set(converters) - {"comment"}
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING \
+                and f.name not in raw:
+            raise ConfigError(f"{what} missing required key '{f.name}'")
+    return {key: converters[key](value, key) for key, value in raw.items()
+            if key != "comment"}
+
+
 def params_from_dict(raw: dict) -> SystemParams:
     """Build SystemParams from a flat JSON object, resolving reduced units."""
-    if not isinstance(raw, dict):
-        raise ConfigError("system parameters must be a JSON object")
-    unknown = set(raw) - SPELLINGS - {"comment"}
-    if unknown:
-        raise ConfigError(f"unknown parameter key(s): {sorted(unknown)}")
-
-    for key in REQUIRED_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing required key '{key}'")
-    gamma = _require_number(raw["gamma"], "gamma")
-    omega_b = _require_number(raw["omega_b"], "omega_b")
-
-    values: dict[str, float] = {"gamma": gamma, "omega_b": omega_b}
-    for key in PARAM_KEYS:
-        if key in REQUIRED_KEYS:
-            continue
-        spellings = [key] + ([key + s for s in _SUFFIXES] if key in RATE_KEYS else [])
-        present = [s for s in spellings if s in raw]
-        if len(present) > 1:
-            raise ConfigError(
-                f"key '{key}' given in multiple unit spellings: {present}")
-        if not present:
-            continue
-        spelling = present[0]
-        value = _require_number(raw[spelling], spelling)
-        values[key] = resolve_unit(spelling, value, gamma, omega_b)[1]
+    given = _parse_object(SystemParams, raw, dict.fromkeys(SPELLINGS, _number),
+                          "parameter")
+    values: dict[str, float] = {}
+    for spelling, value in given.items():
+        name, value = resolve_unit(spelling, value, given["gamma"],
+                                   given["omega_b"])
+        if name in values:
+            raise ConfigError(f"key '{name}' given in multiple unit spellings")
+        values[name] = value
     return SystemParams(**values)
 
 
@@ -78,11 +96,6 @@ def resolve_unit(spelling: str, value: float, gamma: float,
         if spelling.endswith(suffix):
             return spelling[:-len(suffix)], value * scale
     return spelling, value
-
-
-def params_to_dict(params: SystemParams) -> dict:
-    """Flat absolute-unit JSON object for a SystemParams."""
-    return {key: getattr(params, key) for key in PARAM_KEYS}
 
 
 def params_reduced_dict(params: SystemParams) -> dict:
@@ -96,21 +109,12 @@ def params_reduced_dict(params: SystemParams) -> dict:
 
 
 def hilbert_from_dict(raw: dict | None) -> HilbertConfig:
+    """Truncation from a JSON object; None is the default truncation."""
     if raw is None:
         return HilbertConfig()
-    if not isinstance(raw, dict):
-        raise ConfigError("'cfg' must be a JSON object")
-    unknown = set(raw) - HILBERT_KEYS
-    if unknown:
-        raise ConfigError(f"unknown truncation key(s): {sorted(unknown)}")
-    kwargs = {}
-    for key in ("n_magnon", "n_photon"):
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"'{key}' must be an integer")
-            kwargs[key] = value
-    return HilbertConfig(**kwargs)
+    return HilbertConfig(**_parse_object(
+        HilbertConfig, raw, {"n_magnon": _integer, "n_photon": _integer},
+        "truncation"))
 
 
 def canonical_json(obj: Any) -> str:

@@ -5,7 +5,7 @@ class ConfigError(ValueError):
     """Invalid run configuration (unknown key, unit conflict, bad range)."""
 
 
-class DimensionError(ValueError):
+class DimensionError(ConfigError):
     """Operator or truncation dimensions are invalid or incompatible."""
 
 

@@ -23,12 +23,14 @@ from . import __version__
 from .analytic import find_optimal_pairs, g2_analytic
 from .config import (
     SPELLINGS,
-    _require_number,
+    _integer,
+    _number,
+    _parse_object,
+    _string,
     config_hash,
     hilbert_from_dict,
     params_from_dict,
     params_reduced_dict,
-    params_to_dict,
     resolve_unit,
 )
 from .errors import ConfigError, SolverError
@@ -268,7 +270,7 @@ def _finish(output_path, header: list[str], table, failures: list,
         truncation_convergence_delta=delta,
         converged=converged,
         observable=observable,
-        params_rad_per_s=params_to_dict(params),
+        params_rad_per_s=asdict(params),
         params_reduced=params_reduced_dict(params),
         cfg={} if cfg is None else asdict(cfg),
         failures=failures,
@@ -322,7 +324,7 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
             rows.append((shift / params.gamma, pair.delta_opt_over_omega_b,
                          pair.lambda_opt_over_omega_b, pair.residual))
     check = (0.0, True, ["pair search is analytic: truncation-free, delta is 0"])
-    inputs = {"params": params_to_dict(params), "directions": directions,
+    inputs = {"params": asdict(params), "directions": directions,
               "delta_range": delta_range, "lambda_range": lambda_range,
               "output_path": str(output_path)}
     return _finish(output_path, ["delta_F_over_gamma", "delta_opt_over_omega_b",
@@ -346,7 +348,7 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     taus = [0.0] if points == 1 else list(np.linspace(0.0, tau_max, points))
     rows = g2_tau(params, cfg, taus)
     tau, low = min(rows, key=lambda r: r[1])
-    inputs = {"params": params_to_dict(params), "cfg": asdict(cfg),
+    inputs = {"params": asdict(params), "cfg": asdict(cfg),
               "tau_max": tau_max, "points": points, "output_path": str(output_path)}
     return _finish(output_path, ["tau", "g2"], rows, [],
                    _probe("g2_tau", params, cfg, low, tau), "g2_tau", params,
@@ -354,44 +356,20 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
 
 
 OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")
-AXIS_KEYS = {"parameter", "min", "max", "points", "scale", "comment"}
-SWEEP_KEYS = {"axis1", "axis2", "observable", "base", "cfg", "output_path",
-              "comment"}
-
-
-def sweep_spec_from_dict(raw: dict) -> SweepSpec:
-    """Parse and validate a sweep spec JSON object."""
-    if not isinstance(raw, dict):
-        raise ConfigError("sweep spec must be a JSON object")
-    unknown = set(raw) - SWEEP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown sweep key(s): {sorted(unknown)}")
-    for key in ("axis1", "observable", "base", "output_path"):
-        if key not in raw:
-            raise ConfigError(f"sweep spec missing required key '{key}'")
-    return SweepSpec(
-        axis1=_axis_from_dict(raw["axis1"]),
-        axis2=_axis_from_dict(raw["axis2"]) if raw.get("axis2") else None,
-        observable=raw["observable"],
-        base=params_from_dict(raw["base"]),
-        cfg=hilbert_from_dict(raw.get("cfg")),
-        output_path=raw["output_path"],
-    )
 
 
 def _axis_from_dict(raw: dict) -> AxisSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("axis must be a JSON object")
-    unknown = set(raw) - AXIS_KEYS
-    if unknown:
-        raise ConfigError(f"unknown axis key(s): {sorted(unknown)}")
-    for key in ("parameter", "min", "max", "points"):
-        if key not in raw:
-            raise ConfigError(f"axis missing required key '{key}'")
-    points = raw["points"]
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError("axis 'points' must be an integer")
-    return AxisSpec(parameter=raw["parameter"],
-                    min=_require_number(raw["min"], "min"),
-                    max=_require_number(raw["max"], "max"), points=points,
-                    scale=raw.get("scale", "linear"))
+    return AxisSpec(**_parse_object(AxisSpec, raw, {
+        "parameter": _string, "min": _number, "max": _number,
+        "points": _integer, "scale": _string}, "axis"))
+
+
+def sweep_spec_from_dict(raw: dict) -> SweepSpec:
+    """Parse and validate a sweep spec JSON object; axis2 null is no axis."""
+    return SweepSpec(**_parse_object(SweepSpec, raw, {
+        "axis1": lambda value, _: _axis_from_dict(value),
+        "axis2": lambda value, _: None if value is None else _axis_from_dict(value),
+        "observable": _string,
+        "base": lambda value, _: params_from_dict(value),
+        "cfg": lambda value, _: hilbert_from_dict(value),
+        "output_path": _string}, "sweep"))

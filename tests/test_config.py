@@ -9,7 +9,6 @@ from spinpb.config import (
     hilbert_from_dict,
     params_from_dict,
     params_reduced_dict,
-    params_to_dict,
 )
 
 FLAT = {
@@ -30,7 +29,7 @@ FLAT = {
 class TestParamsFromDict:
     def test_absolute_round_trip(self):
         p = params_from_dict(FLAT)
-        assert params_to_dict(p) == FLAT
+        assert vars(p) == FLAT
 
     def test_reduced_over_gamma(self):
         raw = dict(FLAT)
