@@ -1,6 +1,6 @@
 """Command-line front end: sweep, optimal, g2tau, validate.
 
-Exit codes: 0 success, 2 configuration error, 3 solver error.
+Exit codes: 0 success, 1 I/O error, 2 configuration error, 3 solver error.
 """
 
 from __future__ import annotations

@@ -4,9 +4,10 @@ A sweep evaluates one observable over a 1-D or 2-D grid, row-major with
 axis1 outermost, and writes full-precision CSV plus a JSON manifest with
 provenance (config hash, tool version, timing) and a truncation-convergence
 check.  The grid is a float array, filled one line at a time (see
-``_grid_results``) and written and probed straight from that array.
-Evaluation is sequential and deterministic: rerunning a spec produces a
-byte-identical CSV.
+``_grid_results``) and written and probed straight from that array.  Every
+engine call is in ``_line``, and a ``SweepSpec`` builds every grid point
+when made, so ``validate`` rejects what ``sweep`` would.  Evaluation is
+sequential and deterministic: rerunning a spec produces a byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ class SweepSpec:
                 resolve_unit(self.axis1.parameter, 0.0, 1.0, 1.0)[0]
                 == resolve_unit(self.axis2.parameter, 0.0, 1.0, 1.0)[0]):
             raise ConfigError("axis1 and axis2 scan the same parameter")
+        # every grid point is a valid SystemParams, as the sweep will build it
+        _at(self, np.meshgrid(*(ax.values() for ax in (self.axis1, self.axis2)
+                                if ax is not None), indexing="ij"))
+        _check_output(self.output_path)
 
 
 @dataclass
@@ -123,17 +128,16 @@ class RunManifest:
             fh.write("\n")
 
 
+def _check_output(output_path) -> None:
+    """Reject a destination that names a directory ("" is the current one)."""
+    if Path(output_path).is_dir():
+        raise ConfigError(f"output path '{output_path}' is a directory")
+
+
 def _apply_axis(params: SystemParams, name: str,
                 value: float | np.ndarray) -> SystemParams:
     name, value = resolve_unit(name, value, params.gamma, params.omega_b)
     return params.replace(**{name: value})
-
-
-def _eval_point(observable: str, params: SystemParams, cfg: HilbertConfig) -> float:
-    rho = steady_state(build_liouvillian(params, cfg))
-    if observable == "g2_numeric":
-        return g2_zero(rho, cfg)
-    return mandel_q(rho, cfg)
 
 
 def _line(observable: str, point: SystemParams, cfg: HilbertConfig, name: str,
@@ -143,31 +147,38 @@ def _line(observable: str, point: SystemParams, cfg: HilbertConfig, name: str,
         return np.array([g for _t, g in g2_tau(point, cfg, values)])
     if observable == "g2_analytic":
         return g2_analytic(_apply_axis(point, name, values))
-    return np.array([_eval_point(observable, _apply_axis(point, name, v), cfg)
-                     for v in values])
+    extract = g2_zero if observable == "g2_numeric" else mandel_q
+    return np.array([extract(steady_state(build_liouvillian(
+        _apply_axis(point, name, v), cfg)), cfg) for v in values])
 
 
-def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
-    """Evaluate the grid; returns (axis values, grid, failures).
+def _lines(base: SystemParams, names: list[str], values: list) -> tuple[int, list]:
+    """The line axis (tau for g2_tau, else the last) and each line's point.
 
-    The grid has one dimension per axis and is filled one ``_line`` at a
-    time, along the tau axis of a g2_tau sweep and the last axis otherwise,
-    so a 1-D sweep is one line: one array-valued solve for g2_analytic, one
+    Line j holds the other axis at its index j; a 1-D grid is one line.
+    """
+    k = names.index("tau") if "tau" in names else len(names) - 1
+    return k, [base] if len(names) == 1 else [
+        _apply_axis(base, names[1 - k], v) for v in values[1 - k]]
+
+
+def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
+    """Evaluate the grid; returns (axis names, axis values, grid, failures).
+
+    The grid has one dimension per axis and is filled one ``_line`` at a time
+    (see ``_lines``): one array-valued solve per line for g2_analytic, one
     delay trace for g2_tau, one steady state per point for g2_numeric and
     mandel_q.  A line that fails is redone one value at a time: each failed
     cell is NaN with one failure record giving every axis's index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     names, values = [ax.parameter for ax in axes], [ax.values() for ax in axes]
-    k = names.index("tau") if "tau" in names else len(axes) - 1
+    k, points = _lines(spec.base, names, values)
     grid = np.full([len(v) for v in values], np.nan)
     errors = []
     # row j is a view of the line at index j of the other axis
     lines = np.moveaxis(grid, k, -1).reshape(-1, len(values[k]))
-    for j, line in enumerate(lines):
-        point = spec.base
-        if len(axes) == 2:
-            point = _apply_axis(point, names[1 - k], values[1 - k][j])
+    for j, (point, line) in enumerate(zip(points, lines)):
         try:
             line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
         except (SolverError, np.linalg.LinAlgError):
@@ -186,55 +197,43 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
             record[f"axis{n + 1}_index"] = i
             record[names[n]] = float(values[n][i])
         failures.append({**record, "error": error})
-    return values, grid, failures
+    return names, values, grid, failures
 
 
-def _probe(observable: str, point: SystemParams, cfg: HilbertConfig,
-           low: float, tau: float | None) -> tuple[float | None, bool, list]:
-    """Redo one computed value with one extra Fock level per mode.
+def _probe(observable: str, base: SystemParams, cfg: HilbertConfig, names: list,
+           values: list, grid: np.ndarray) -> tuple[float | None, bool, list]:
+    """Redo the most sensitive cell with one extra Fock level per mode.
 
-    ``low`` is the value at ``point`` (and delay ``tau`` for g2_tau) on
-    ``cfg``; returns the relative change, whether it is below
-    ``CONVERGENCE_BOUND``, and notes.
+    That is the first smallest finite cell in row-major order, recomputed by
+    one ``_line`` call on its own value at (n_magnon + 1) x (n_photon + 1).
+    Returns the relative change, whether it is below ``CONVERGENCE_BOUND``,
+    and notes; g2_analytic has no truncation, so its delta is 0.
     """
-    cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
-    try:
-        if observable == "g2_tau":
-            high = g2_tau(point, cfg_hi, [tau])[0][1]
-        else:
-            high = _eval_point(observable, point, cfg_hi)
-    except (SolverError, np.linalg.LinAlgError) as exc:
-        return None, False, [f"convergence probe failed: {exc}"]
-    delta = abs(high - low) / max(abs(low), 1e-300)
-    return delta, delta < CONVERGENCE_BOUND, []
-
-
-def _at(spec: SweepSpec, coords) -> tuple[SystemParams, object]:
-    """The parameter point(s) and the delay at one value (or array) per axis."""
-    point, tau = spec.base, None
-    for ax, coord in zip((spec.axis1, spec.axis2), coords):
-        if ax.parameter == "tau":
-            tau = coord
-        else:
-            point = _apply_axis(point, ax.parameter, coord)
-    return point, tau
-
-
-def _convergence_check(spec: SweepSpec, coords: list,
-                       grid: np.ndarray) -> tuple[float | None, bool, list]:
-    """Probe the most sensitive grid point: the smallest observable value.
-
-    That is the first smallest finite cell in row-major order.  The analytic
-    observable has no truncation, so its delta is 0 by construction.
-    """
-    if spec.observable == "g2_analytic":
+    if observable == "g2_analytic":
         return 0.0, True, ["analytic observable: truncation-free, delta is 0"]
     finite = np.isfinite(grid)
     if not finite.any():
         return None, False, ["no finite grid point; convergence not checkable"]
     index = np.unravel_index(np.argmin(np.where(finite, grid, np.inf)), grid.shape)
-    point, tau = _at(spec, [float(c[index]) for c in coords])
-    return _probe(spec.observable, point, spec.cfg, float(grid[index]), tau)
+    k, points = _lines(base, names, values)
+    point, i = points[index[1 - k] if grid.ndim == 2 else 0], index[k]
+    cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
+    try:
+        high = _line(observable, point, cfg_hi, names[k], values[k][i:i + 1])[0]
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        return None, False, [f"convergence probe failed: {exc}"]
+    high, low = float(high), float(grid[index])
+    delta = abs(high - low) / max(abs(low), 1e-300)
+    return delta, delta < CONVERGENCE_BOUND, []
+
+
+def _at(spec: SweepSpec, coords) -> SystemParams:
+    """The parameter point(s) at one value (or array) per axis; tau is skipped."""
+    point = spec.base
+    for ax, coord in zip((spec.axis1, spec.axis2), coords):
+        if ax.parameter != "tau":
+            point = _apply_axis(point, ax.parameter, coord)
+    return point
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
@@ -288,13 +287,14 @@ def manifest_path_for(csv_path) -> Path:
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute a sweep: evaluate the grid, write CSV and manifest."""
     t0 = time.monotonic()
-    values, grid, failures = _grid_results(spec)
+    names, values, grid, failures = _grid_results(spec)
     coords = np.meshgrid(*values, indexing="ij")
     header = ["axis1_value", "axis2_value"][:len(values)] + ["observable_value"]
     table = np.column_stack([c.ravel() for c in coords] + [grid.ravel()])
-    return _finish(spec.output_path, header, table, failures,
-                   _convergence_check(spec, coords, grid), spec.observable,
-                   spec.base, _at(spec, coords)[0], spec.cfg, asdict(spec), t0)
+    check = _probe(spec.observable, spec.base, spec.cfg, names, values, grid)
+    return _finish(spec.output_path, header, table, failures, check,
+                   spec.observable, spec.base, _at(spec, coords), spec.cfg,
+                   asdict(spec), t0)
 
 
 def run_optimal(params: SystemParams, directions: list[str], output_path,
@@ -306,6 +306,7 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
     -|delta_F|), each at most once.  A direction with no root in the box
     emits one warning row of NaNs rather than failing.
     """
+    _check_output(output_path)
     t0 = time.monotonic()
     if set(directions) - {"cw", "ccw"} or len(set(directions)) < len(directions):
         raise ConfigError(f"directions must be distinct cw or ccw, got {directions}")
@@ -340,19 +341,19 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     A solver error is raised, not recorded: the trace has a single
     parameter point.
     """
+    _check_output(output_path)
     if not 0 < tau_max < np.inf:
         raise ConfigError("tau_max must be positive and finite")
     if points < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
-    taus = [0.0] if points == 1 else list(np.linspace(0.0, tau_max, points))
-    rows = g2_tau(params, cfg, taus)
-    tau, low = min(rows, key=lambda r: r[1])
+    taus = np.linspace(0.0, tau_max, points)   # one point is tau = 0
+    trace = _line("g2_tau", params, cfg, "tau", taus)
     inputs = {"params": asdict(params), "cfg": asdict(cfg),
               "tau_max": tau_max, "points": points, "output_path": str(output_path)}
-    return _finish(output_path, ["tau", "g2"], rows, [],
-                   _probe("g2_tau", params, cfg, low, tau), "g2_tau", params,
-                   params, cfg, inputs, t0)
+    return _finish(output_path, ["tau", "g2"], np.column_stack([taus, trace]), [],
+                   _probe("g2_tau", params, cfg, ["tau"], [taus], trace),
+                   "g2_tau", params, params, cfg, inputs, t0)
 
 
 OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")

@@ -192,6 +192,47 @@ class TestSweepCommand:
             main(["sweep"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("observable, axis1, axis2, message", [
+        ("g2_numeric", ("Lambda_over_omega_b", -1e-6, 3e-6), None,
+         "Lambda must be non-negative"),
+        ("g2_analytic", ("delta_over_omega_b", -0.8, 0.8), ("m_th", -1.0, 1.0),
+         "m_th must be non-negative"),
+        ("g2_analytic", ("gamma", 0.0, GAMMA), None, "gamma must be positive"),
+    ], ids=["Lambda-axis-below-zero", "m_th-axis2-below-zero", "gamma-axis-at-zero"])
+    def test_swept_value_out_of_range_exits_two(self, tmp_path, capsys,
+                                                 observable, axis1, axis2,
+                                                 message):
+        def axis(parameter, lo, hi):
+            return {"parameter": parameter, "min": lo, "max": hi, "points": 2}
+        spec = {
+            "axis1": axis(*axis1),
+            "axis2": axis(*axis2) if axis2 else None,
+            "observable": observable,
+            "base": FLAT_PARAMS,
+            "cfg": {"n_magnon": 3, "n_photon": 3},
+            "output_path": str(tmp_path / "x.csv"),
+        }
+        path = write_json(tmp_path / "s.json", spec)
+        assert main(["validate", "--spec", path]) == 2
+        assert main(["sweep", "--spec", path]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_output_path_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)   # "" names the working directory
+        spec = {
+            "axis1": {"parameter": "delta", "min": 0, "max": 1, "points": 2},
+            "observable": "g2_analytic",
+            "base": FLAT_PARAMS,
+            "output_path": "",
+        }
+        path = write_json(tmp_path / "s.json", spec)
+        assert main(["validate", "--spec", path]) == 2
+        assert main(["sweep", "--spec", path]) == 2
+        assert capsys.readouterr().err.count("is a directory") == 2
+        assert not list(tmp_path.glob("*.manifest.json"))
+
 
 class TestOptimalCommand:
     def test_single_direction(self, params_file, tmp_path):
@@ -221,6 +262,11 @@ class TestOptimalCommand:
                      "--direction", "cw,cw", "--output", str(out)]) == 2
         assert not out.exists()
 
+    def test_directory_output_exits_two(self, params_file, tmp_path, capsys):
+        assert main(["optimal", "--config", params_file,
+                     "--output", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
 
 class TestG2TauCommand:
     def test_small_trace(self, params_file, tmp_path):
@@ -235,6 +281,11 @@ class TestG2TauCommand:
                           {"gamma": 1.0, "omega_b": 20.0})
         assert main(["g2tau", "--config", dead, "--tau-max", "1.0",
                      "--points", "2", "--output", str(tmp_path / "x.csv")]) == 3
+
+    def test_directory_output_exits_two(self, params_file, tmp_path, capsys):
+        assert main(["g2tau", "--config", params_file, "--tau-max", "1e-6",
+                     "--points", "3", "--output", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimal", "g2tau"])

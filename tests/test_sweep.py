@@ -471,6 +471,51 @@ class TestRunG2Tau:
                       output_path=tmp_path / "x.csv")
 
 
+class TestConvergenceProbe:
+    """The probe redoes the first smallest finite cell at (n+1)x(n+1)."""
+
+    @pytest.mark.parametrize("case", ["mandel_q 2-D", "g2_tau tau second",
+                                      "g2tau command"])
+    def test_probed_cell_and_delta_are_pinned(self, tmp_path, case):
+        base, cfg, cfg_hi = cw_base(), HilbertConfig(3, 3), HilbertConfig(4, 4)
+        out = tmp_path / "out.csv"
+
+        def g2_at(point, tau):
+            return g2_tau(point, cfg_hi, [tau])[0][1]
+
+        if case == "mandel_q 2-D":
+            # delta is in units of the base gamma: axis1 is applied first
+            manifest = run_sweep(SweepSpec(
+                axis1=AxisSpec("delta_over_gamma", 0.5, 2.0, 3),
+                axis2=AxisSpec("gamma", 0.5 * GAMMA, 2.0 * GAMMA, 3),
+                observable="mandel_q", base=base, cfg=cfg, output_path=str(out)))
+
+            def high_at(d, g):
+                point = base.replace(delta=d * base.gamma, gamma=g)
+                return mandel_q(steady_state(build_liouvillian(point, cfg_hi)),
+                                cfg_hi)
+        elif case == "g2_tau tau second":
+            manifest = run_sweep(SweepSpec(
+                axis1=AxisSpec("delta_over_omega_b", -0.7, -0.66, 3),
+                axis2=AxisSpec("tau", 0.0, 1e-6, 3),
+                observable="g2_tau", base=base, cfg=cfg, output_path=str(out)))
+
+            def high_at(d, tau):
+                return g2_at(base.replace(delta=d * base.omega_b), tau)
+        else:
+            point = base.replace(delta=-0.684495 * OMEGA_B)
+            manifest = run_g2tau(point, cfg, 1e-6, 3, out)
+
+            def high_at(tau):
+                return g2_at(point, tau)
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        column = table[:, -1]
+        low = column[np.isfinite(column)].min()
+        cell = table[np.flatnonzero(column == low)[0]]   # first, row-major
+        high = high_at(*cell[:-1])
+        assert manifest.truncation_convergence_delta == abs(high - low) / abs(low)
+
+
 PRESETS = sorted(r.name for r in resources.files("spinpb.presets").iterdir()
                  if r.name.endswith(".json"))
 
