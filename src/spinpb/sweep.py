@@ -129,9 +129,17 @@ class RunManifest:
 
 
 def _check_output(output_path) -> None:
-    """Reject a destination that names a directory ("" is the current one)."""
-    if Path(output_path).is_dir():
+    """Reject a destination that is a directory or lies under a regular file.
+
+    "" names the current directory; missing parents are created on write.
+    """
+    path = Path(output_path)
+    if path.is_dir():
         raise ConfigError(f"output path '{output_path}' is a directory")
+    parent = next((p for p in path.parents if p.exists()), None)
+    if parent is not None and not parent.is_dir():
+        raise ConfigError(f"output path '{output_path}' lies under '{parent}',"
+                          " which is not a directory")
 
 
 def _apply_axis(params: SystemParams, name: str,

@@ -288,6 +288,29 @@ class TestG2TauCommand:
         assert "is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimal", "g2tau"])
+def test_output_under_regular_file_exits_two(tmp_path, params_file, capsys,
+                                             command):
+    """A destination whose parent is a file is refused before any work."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = str(blocker / "out.csv")
+    spec = write_json(tmp_path / "spec.json", {
+        "axis1": {"parameter": "delta_over_omega_b", "min": -0.8, "max": 0.8,
+                  "points": 2},
+        "observable": "g2_analytic", "base": FLAT_PARAMS, "output_path": out})
+    argv = {
+        "validate": ["validate", "--spec", spec],
+        "sweep": ["sweep", "--spec", spec],
+        "optimal": ["optimal", "--config", params_file, "--output", out],
+        "g2tau": ["g2tau", "--config", params_file, "--tau-max", "1e-6",
+                  "--points", "3", "--output", out],
+    }[command]
+    assert main(argv) == 2
+    assert "which is not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["sweep", "optimal", "g2tau"])
 def test_strong_drive_noted_in_manifest(tmp_path, command):
     strong = dict(FLAT_PARAMS, E_over_gamma=0.2)

@@ -34,8 +34,10 @@ from spinpb import (
     steady_state,
 )
 from spinpb.config import params_from_dict
-from spinpb.lindblad import unvectorize, vectorize
-from conftest import GAMMA, J, OMEGA_B, random_density
+import spinpb.lindblad as lindblad
+from spinpb.lindblad import (_sector_block, _trace_row_system, unvectorize,
+                             vectorize)
+from conftest import GAMMA, J, OMEGA_B, PAIRS_CCW, PAIRS_CW, random_density
 
 
 def unit_params(**kw) -> SystemParams:
@@ -43,6 +45,51 @@ def unit_params(**kw) -> SystemParams:
     base = dict(gamma=1.0, omega_b=20.0)
     base.update(kw)
     return SystemParams(**base)
+
+
+def preset_point(panel: str, delta: float, m_th: float = 0.0,
+                 gamma_p: float = 0.0) -> SystemParams:
+    """A fig2 preset's base at delta (omega_b units); gamma_p in gamma units."""
+    raw = json.loads(resources.files("spinpb.presets")
+                     .joinpath(f"{panel}.json").read_text())
+    base = params_from_dict(raw["base"])
+    return base.replace(delta=delta * base.omega_b, m_th=m_th,
+                        gamma_p=gamma_p * base.gamma)
+
+
+def refined_solve(liouvillian: Liouvillian) -> DensityMatrix:
+    """Dense trace-row solve refined twice with extended-precision residuals."""
+    L = liouvillian.matrix
+    system = L.copy()
+    system[0, :] = 0.0
+    system[0, ::liouvillian.dim + 1] = 1.0
+    rhs = np.zeros(L.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    vec = np.linalg.solve(system, rhs)
+    wide = system.astype(np.clongdouble)
+    for _ in range(2):
+        residual = rhs - wide @ vec.astype(np.clongdouble)
+        vec = vec + np.linalg.solve(system, residual.astype(complex))
+    rho = unvectorize(vec, liouvillian.dim)
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
+
+
+# g2 floor cases: the first four (ids noiseN-<delta>) are the two fig2a dips
+# at 5x5; then 1e-4 omega_b off the first dip, where stopping the sector
+# sweeps once their max-norm step stops halving misses g2 by 1.6e-9; then
+# every published (delta, Lambda) pair of fig2a-d, whose Lambda and Sagnac
+# sign the preset carries, at 5x5 and 6x6
+PANEL_DELTA = dict(zip(("fig2a", "fig2b", "fig2c", "fig2d"),
+                       (delta for delta, _ in PAIRS_CW + PAIRS_CCW)))
+NOISES = [{}, {"m_th": 1e-7, "gamma_p": 0.01}]
+FLOOR_CASES = [pytest.param("fig2a", delta, noise, 5, id=f"noise{i}-{delta}")
+               for delta in (-0.684495, 0.654639)
+               for i, noise in enumerate(NOISES)] + [
+    pytest.param("fig2a", -0.684395, noise, 5, id=f"fig2a-near-noise{i}-5x5")
+    for i, noise in enumerate(NOISES)] + [
+    pytest.param(panel, delta, noise, size, id=f"{panel}-noise{i}-{size}x{size}")
+    for size in (5, 6) for panel, delta in PANEL_DELTA.items()
+    for i, noise in enumerate(NOISES) if (panel, size) != ("fig2a", 5)]
 
 
 def fock_photon_density(cfg: HilbertConfig, n: int) -> DensityMatrix:
@@ -156,37 +203,68 @@ class TestSteadyState:
         with pytest.raises(SolverError, match="not PSD"):
             steady_state(Liouvillian(generator=csc_array(matrix), cfg=cfg))
 
-    @pytest.mark.parametrize("delta", [-0.684495, 0.654639])
-    @pytest.mark.parametrize("noise", [{}, {"m_th": 1e-7, "gamma_p": 0.01}])
-    def test_g2_accurate_at_blockade_floor(self, delta, noise):
-        """g2(0) to 1e-10 of the refined trace-row solve at the fig2a dips.
+    @pytest.mark.parametrize("panel, delta, noise, size", FLOOR_CASES)
+    def test_g2_accurate_at_blockade_floor(self, panel, delta, noise, size):
+        """g2(0) to 1e-10 of the refined trace-row solve at the fig2 dips.
 
         The two-photon populations are ~1e-12 here, so a solve that loses
-        digits (e.g. an LU pivoted by column) moves g2 by ~1e-6 while the
-        residual check still passes.  The oracle solves the same system and
-        refines it twice with residuals in extended precision.
+        digits moves g2 while the residual check still passes: an LU
+        pivoted by column by ~1e-6, sector sweeps stopped once their
+        max-norm step stops halving by 1.6e-9.  At the fig2c pair the sweeps stall and the direct
+        solve takes over.
         """
-        raw = json.loads(resources.files("spinpb.presets")
-                         .joinpath("fig2a.json").read_text())
-        base = params_from_dict(raw["base"])
-        p = base.replace(delta=delta * base.omega_b, m_th=noise.get("m_th", 0.0),
-                         gamma_p=noise.get("gamma_p", 0.0) * base.gamma)
-        cfg = HilbertConfig(5, 5)
-        L = build_liouvillian(p, cfg).matrix
-        system = L.copy()
-        system[0, :] = 0.0
-        system[0, ::cfg.dim + 1] = 1.0
-        rhs = np.zeros(L.shape[0], dtype=complex)
-        rhs[0] = 1.0
-        vec = np.linalg.solve(system, rhs)
-        wide = system.astype(np.clongdouble)
-        for _ in range(2):
-            residual = rhs - wide @ vec.astype(np.clongdouble)
-            vec = vec + np.linalg.solve(system, residual.astype(complex))
-        rho = unvectorize(vec, cfg.dim)
-        exact = g2_zero(DensityMatrix(0.5 * (rho + rho.conj().T)), cfg)
+        p = preset_point(panel, delta, **noise)
+        cfg = HilbertConfig(size, size)
+        exact = g2_zero(refined_solve(build_liouvillian(p, cfg)), cfg)
         value = g2_zero(steady_state(build_liouvillian(p, cfg)), cfg)
         assert abs(value - exact) <= 1e-10 * exact
+
+    @pytest.mark.parametrize("noise", [{}, {"m_th": 1e-7}])
+    def test_working_point_needs_no_direct_solve(self, monkeypatch, noise):
+        # the sector sweeps must settle the fig2a dip on their own
+        def direct_solve(*_args):
+            raise AssertionError("sector sweeps fell back to the direct solve")
+        monkeypatch.setattr(lindblad, "_direct_solve", direct_solve)
+        cfg = HilbertConfig(5, 5)
+        steady_state(build_liouvillian(preset_point("fig2a", -0.684495, **noise), cfg))
+
+    def test_diverging_sweeps_fall_back_to_direct_solve(self, monkeypatch):
+        # at E = gamma the drive outweighs the sector block and the sweeps
+        # diverge; the direct solve must then agree with the dense solve
+        calls = []
+        direct_solve = lindblad._direct_solve
+        monkeypatch.setattr(lindblad, "_direct_solve",
+                            lambda *args: calls.append(1) or direct_solve(*args))
+        p = preset_point("fig2a", -0.684495)
+        p = p.replace(E=p.gamma)
+        cfg = HilbertConfig(5, 5)
+        liou = build_liouvillian(p, cfg)
+        system = liou.matrix
+        system[0, :] = 0.0
+        system[0, ::cfg.dim + 1] = 1.0
+        rhs = np.zeros(cfg.dim**2, dtype=complex)
+        rhs[0] = 1.0
+        rho = unvectorize(np.linalg.solve(system, rhs), cfg.dim)
+        dense = g2_zero(DensityMatrix(0.5 * (rho + rho.conj().T)), cfg)
+        value = g2_zero(steady_state(liou), cfg)
+        assert calls == [1]
+        assert abs(value - dense) <= 1e-10 * dense
+
+    @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
+    def test_sector_block_is_drive_free_system(self, working_params, n_magnon,
+                                               n_photon):
+        # the same-sector entries are exactly the system at E = Lambda = 0,
+        # stored without the off-sector pattern or explicit zeros
+        p = working_params.replace(delta=-0.3 * OMEGA_B, Lambda=2.5e-6 * OMEGA_B,
+                                   beta=0.4, m_th=0.1, gamma_p=0.01 * GAMMA)
+        cfg = HilbertConfig(n_magnon, n_photon)
+        block = _sector_block(_trace_row_system(build_liouvillian(p, cfg)), cfg)
+        free = _trace_row_system(build_liouvillian(p.replace(E=0.0, Lambda=0.0), cfg))
+        free.eliminate_zeros()
+        assert 0 < block.nnz < build_liouvillian(p, cfg).generator.nnz
+        np.testing.assert_array_equal(block.indptr, free.indptr)
+        np.testing.assert_array_equal(block.indices, free.indices)
+        np.testing.assert_array_equal(block.data, free.data)
 
     def test_driven_cavity_matches_coherent_state(self):
         # closed form: alpha = -E / (delta + delta_F - i gamma/2)

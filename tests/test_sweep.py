@@ -332,13 +332,13 @@ class TestRunSweep:
         assert any(n.startswith("weak-drive flag") for n in notes) == noted
 
     def test_unwritable_path_raises_io_error(self, tmp_path):
+        # a parent that is a regular file is refused before any point is run
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        spec = SweepSpec(axis1=AxisSpec("delta_over_omega_b", -0.5, 0.5, 2),
-                         observable="g2_analytic", base=cw_base(),
-                         output_path=str(blocker / "out.csv"))
-        with pytest.raises(OSError):
-            run_sweep(spec)
+        with pytest.raises(ConfigError, match="not a directory"):
+            SweepSpec(axis1=AxisSpec("delta_over_omega_b", -0.5, 0.5, 2),
+                      observable="g2_analytic", base=cw_base(),
+                      output_path=str(blocker / "sub" / "out.csv"))
 
     def test_numeric_scan_converged_manifest(self, tmp_path):
         spec = SweepSpec(
