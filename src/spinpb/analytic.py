@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularSystemError, UndefinedCorrelationError
+from .errors import (
+    ConfigError,
+    SingularSystemError,
+    SolverError,
+    UndefinedCorrelationError,
+)
 from .model import SystemParams, _coefficients, _terms
 from .operators import HilbertConfig
 
@@ -90,7 +95,8 @@ def _amplitudes(params: SystemParams) -> np.ndarray:
 
     The hierarchy drops the drive feedback of two excitations onto one, so
     ``_coefficient_matrix`` past c00 is a block lower-triangular system; an
-    array of parameter points is one stacked solve.
+    array of parameter points is one stacked solve.  Amplitudes beyond the
+    float range raise ``SolverError`` rather than return inf or NaN.
     """
     M = _coefficient_matrix(params)
     M[..., 1:3, 3:6] = 0.0
@@ -98,6 +104,8 @@ def _amplitudes(params: SystemParams) -> np.ndarray:
         c = np.linalg.solve(M[..., 1:, 1:], -M[..., 1:, :1])
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError("amplitude hierarchy is singular") from exc
+    if not np.isfinite(c).all():
+        raise SolverError("amplitudes overflow the float range")
     return c[..., 0]
 
 
@@ -107,6 +115,8 @@ def g2_analytic(params: SystemParams) -> float | np.ndarray:
     A float for scalar parameters, an array of their broadcast shape for
     array-valued ones.  The squared moduli are written as products and sums
     only, so an array element is bit-identical to its scalar evaluation.
+    A |c01|^4 or g2 beyond the float range raises ``SolverError``: the
+    quotient would be a silent 0, inf or NaN.
     """
     c = _amplitudes(params)
     c01, c02 = c[..., 1], c[..., 3]
@@ -116,6 +126,8 @@ def g2_analytic(params: SystemParams) -> float | np.ndarray:
     if np.any(denominator == 0):
         raise UndefinedCorrelationError("c01 vanishes; g2(0) is undefined")
     g2 = 2.0 * n02 / denominator
+    if not (np.isfinite(denominator).all() and np.isfinite(g2).all()):
+        raise SolverError("|c01|^4 or g2(0) overflows the float range")
     return float(g2) if np.ndim(g2) == 0 else g2
 
 
@@ -131,6 +143,8 @@ def find_optimal_pairs(params: SystemParams,
     (E = 0).  A real root needs Im(a conj(b)) = 0, which is bracketed on a
     delta scan and solved with brentq; its Lambda is -Re(a / b).  Roots are
     returned sorted by delta; an empty list means no root inside the box.
+    Amplitudes beyond the float range or a root that brentq does not
+    converge on raise ``SolverError``.
     """
     from scipy.optimize import brentq
 
@@ -160,9 +174,13 @@ def find_optimal_pairs(params: SystemParams,
     signed = np.flatnonzero(values)
     roots: list[OptimalPair] = []
     for i, j in zip(signed[:-1], signed[1:]):
-        if values[i] * values[j] > 0:
+        if (values[i] > 0) == (values[j] > 0):   # a product of two can underflow
             continue
-        d_root = brentq(phase_mismatch, deltas[i], deltas[j])
+        d_root, info = brentq(phase_mismatch, deltas[i], deltas[j],
+                              full_output=True, disp=False)
+        if not info.converged:
+            raise SolverError("pair search: brentq did not converge near "
+                              f"delta = {d_root:.6g} rad/s")
         a, b = pathways(d_root)
         l_root = -(a / b).real
         if not l_lo <= l_root <= l_hi:

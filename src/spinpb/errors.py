@@ -10,7 +10,13 @@ class DimensionError(ConfigError):
 
 
 class SolverError(RuntimeError):
-    """Base class for failures inside a numerical solve."""
+    """Base class for failures inside a numerical solve.
+
+    The one failure contract of the engines: ``analytic`` and ``lindblad``
+    return finite numbers or raise a ``SolverError``, overflow included.
+    The run layer catches nothing else: a sweep records each failed point
+    as a NaN row plus one manifest record, and the CLI exits 3.
+    """
 
 
 class SingularSystemError(SolverError):

@@ -87,15 +87,20 @@ class DensityMatrix:
         return self.data.shape[0]
 
     def validate(self) -> None:
-        """Raise if Hermiticity, unit trace, or numerical PSD is violated."""
+        """Raise if Hermiticity, unit trace, or numerical PSD is violated.
+
+        Each comparison fails on NaN, and any inf or NaN entry makes the
+        Hermiticity deviation inf or NaN, so a non-finite matrix fails before
+        ``eigvalsh`` sees it.
+        """
         herm_dev = np.max(np.abs(self.data - self.data.conj().T))
-        if herm_dev > _HERMITICITY_TOL:
+        if not herm_dev <= _HERMITICITY_TOL:
             raise SolverError(f"density matrix not Hermitian: dev {herm_dev:.2e}")
         trace_dev = abs(np.trace(self.data) - 1.0)
-        if trace_dev > _TRACE_TOL:
+        if not trace_dev <= _TRACE_TOL:
             raise SolverError(f"density matrix trace off by {trace_dev:.2e}")
         min_eig = float(np.min(np.linalg.eigvalsh(self.data)))
-        if min_eig < _EIGENVALUE_FLOOR:
+        if not min_eig >= _EIGENVALUE_FLOOR:
             raise SolverError(f"density matrix not PSD: min eigenvalue {min_eig:.2e}")
 
 
@@ -198,7 +203,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.max(np.abs(L @ vectorize(rho)))
     norm = np.max(np.abs(L.data), initial=0.0)
-    if residual > _STEADY_RESIDUAL_TOL * norm:
+    if not residual <= _STEADY_RESIDUAL_TOL * norm:   # a NaN residual fails
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.2e} exceeds {_STEADY_RESIDUAL_TOL:.0e}"
             f" x |L| = {_STEADY_RESIDUAL_TOL * norm:.2e}")
@@ -323,7 +328,8 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
 
     Steps from one time to the next with ``expm_multiply`` (Al-Mohy and
     Higham, SIAM J. Sci. Comput. 33, 488 (2011)) on the sparse generator; a
-    zero step returns the vector unchanged.
+    zero step returns the vector unchanged.  A step so long that the norm
+    estimates of powers of L t overflow raises ``SolverError``.
     """
     from scipy.sparse.linalg import expm_multiply
 
@@ -331,7 +337,11 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     out: list[np.ndarray] = []
     now = 0.0
     for t in times:
-        vec = expm_multiply((t - now) * generator, vec)
+        try:
+            vec = expm_multiply((t - now) * generator, vec)
+        except (OverflowError, ValueError) as exc:   # a norm estimate is inf or NaN
+            raise SolverError(
+                f"propagation by {t - now:.3g} s overflows: {exc}") from exc
         out.append(vec)
         now = t
     return out
@@ -346,8 +356,6 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix,
     """
     if t_final < 0:
         raise ValueError("t_final must be non-negative")
-    if t_final == 0:
-        return rho0
     (vec,) = _propagate(liouvillian, vectorize(rho0.data), [t_final])
     state = DensityMatrix(unvectorize(vec, liouvillian.dim))
     state.validate()

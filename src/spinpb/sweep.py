@@ -189,12 +189,12 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     for j, (point, line) in enumerate(zip(points, lines)):
         try:
             line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
-        except (SolverError, np.linalg.LinAlgError):
+        except SolverError:
             for i in range(len(line)):
                 try:
                     line[i] = _line(spec.observable, point, spec.cfg, names[k],
                                     values[k][i:i + 1])[0]
-                except (SolverError, np.linalg.LinAlgError) as exc:
+                except SolverError as exc:
                     index = [j] * len(axes)   # the other axis at j, this one at i
                     index[k] = i
                     errors.append((tuple(index), f"{type(exc).__name__}: {exc}"))
@@ -228,7 +228,7 @@ def _probe(observable: str, base: SystemParams, cfg: HilbertConfig, names: list,
     cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
     try:
         high = _line(observable, point, cfg_hi, names[k], values[k][i:i + 1])[0]
-    except (SolverError, np.linalg.LinAlgError) as exc:
+    except SolverError as exc:
         return None, False, [f"convergence probe failed: {exc}"]
     high, low = float(high), float(grid[index])
     delta = abs(high - low) / max(abs(low), 1e-300)

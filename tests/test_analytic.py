@@ -1,10 +1,13 @@
 """Amplitude solver: closed forms, full-system oracle, optima, dynamics."""
 
+import re
+
 import numpy as np
 import pytest
 
 from spinpb import (
     ConfigError,
+    SolverError,
     SystemParams,
     UndefinedCorrelationError,
     analytic,
@@ -154,6 +157,32 @@ class TestG2Analytic:
         with pytest.raises(UndefinedCorrelationError):
             g2_analytic(faint.replace(delta=np.array([0.0, 0.5])))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+    @pytest.mark.parametrize("E_over_gamma, message", [
+        (1e200, "amplitudes overflow"),   # c02 ~ E^2 is past the float range
+        (1e80, "|c01|^4"),                # |c01|^4 ~ 1e320 would divide to 0 or nan
+        (1e-80, "g2(0) overflows"),       # the pair source's c02 over |c01|^4 ~ 1e-320
+    ])
+    def test_overflow_is_solver_error(self, working_params, E_over_gamma, message):
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B,
+                                   E=E_over_gamma * GAMMA)
+        with pytest.raises(SolverError, match=re.escape(message)):
+            g2_analytic(p)
+        with pytest.raises(SolverError, match=re.escape(message)):
+            g2_analytic(p.replace(E=np.array([0.005 * GAMMA, p.E])))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+    def test_overflow_at_interference_root_is_not_zero(self, working_params):
+        # E -> s E with Lambda -> s^2 Lambda keeps the root; at s = 1e80
+        # |c01|^4 overflows but |c02|^2 ~ 1e281 does not: the quotient is 0
+        pair = find_optimal_pairs(working_params)[0]
+        s = 1e80
+        p = working_params.replace(delta=pair.delta_opt, E=s * working_params.E,
+                                   Lambda=s**2 * pair.lambda_opt)
+        with pytest.raises(SolverError, match=re.escape("|c01|^4")):
+            g2_analytic(p)
+
 
 class TestFindOptimalPairs:
     def test_reproduces_published_pairs(self, working_params):
@@ -218,6 +247,16 @@ class TestFindOptimalPairs:
             drive_only = abs(steady_amplitudes(point).c02)
             at_root = abs(steady_amplitudes(point.replace(Lambda=pair.lambda_opt)).c02)
             assert at_root <= 1e-10 * drive_only
+
+    def test_tiny_mismatch_is_bracketed_by_sign(self, working_params):
+        # at J = 1e80 rad/s the phase mismatch is ~1e-160 everywhere, so the
+        # product of two neighbours underflows to 0 whatever their signs
+        assert find_optimal_pairs(working_params.replace(J=1e80)) == []
+
+    def test_unconverged_root_is_solver_error(self, working_params):
+        # a +-1e80 rad/s box needs more than brentq's 100 iterations
+        with pytest.raises(SolverError, match="did not converge"):
+            find_optimal_pairs(working_params.replace(omega_b=1e80))
 
     def test_reversed_box_rejected(self, working_params):
         with pytest.raises(ConfigError):

@@ -353,3 +353,47 @@ def test_non_finite_or_non_numeric_input_exits_two(tmp_path, case):
         argv = ["sweep", "--spec", write_json(tmp_path / "s.json", spec)]
     assert main(argv) == 2
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+@pytest.mark.parametrize("case", ["g2tau-huge-drive", "g2tau-huge-delay",
+                                  "optimal-huge-drive"])
+def test_numerical_overflow_exits_three(tmp_path, capsys, case):
+    """An overflow inside an engine is a one-line solver error, not a crash."""
+    huge = {k: v for k, v in FLAT_PARAMS.items() if k != "E_over_gamma"}
+    config = write_json(tmp_path / "p.json", dict(huge, E=1e200))
+    out = tmp_path / "out.csv"
+    argv = {
+        "g2tau-huge-drive": ["g2tau", "--config", config, "--tau-max", "1e-6",
+                             "--points", "3", "--output", str(out)],
+        "g2tau-huge-delay": ["g2tau", "--config", write_json(
+            tmp_path / "ok.json", FLAT_PARAMS), "--tau-max", "1e200",
+            "--points", "3", "--output", str(out)],
+        "optimal-huge-drive": ["optimal", "--config", config,
+                               "--output", str(out)],
+    }[case]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("solver error: ")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+def test_overflowing_sweep_records_every_nan_row(tmp_path):
+    """At E = 1e80 gamma |c01|^4 overflows: a NaN row plus one record each."""
+    out = tmp_path / "out.csv"
+    spec = write_json(tmp_path / "s.json", {
+        "axis1": {"parameter": "delta_over_omega_b", "min": -0.8, "max": 0.8,
+                  "points": 2},
+        "axis2": {"parameter": "E_over_gamma", "min": 0.001, "max": 1e80,
+                  "points": 2, "scale": "log"},
+        "observable": "g2_analytic", "base": FLAT_PARAMS,
+        "output_path": str(out)})
+    assert main(["sweep", "--spec", spec]) == 0
+    values = [line.split(",")[-1] for line in out.read_text().splitlines()[1:]]
+    assert values[1] == values[3] == "nan" and "nan" not in (values[0], values[2])
+    failures = json.loads((tmp_path / "out.csv.manifest.json").read_text())[
+        "failures"]
+    records = [(f["axis1_index"], f["axis2_index"]) for f in failures]
+    assert records == [(0, 1), (1, 1)]
+    assert all(f["error"].startswith("SolverError: ") for f in failures)

@@ -291,6 +291,13 @@ class TestSteadyState:
         assert abs(n - n_exact) < 1e-7 * n_exact
         assert abs(g2_zero(rho, cfg) - g2_exact) < 1e-7 * g2_exact
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+    def test_non_finite_solution_is_solver_error(self):
+        # at E = 1e200 gamma the solve overflows to nan; its residual fails
+        liou = build_liouvillian(unit_params(J=1.0, E=1e200), HilbertConfig(3, 3))
+        with pytest.raises(NonUniqueSteadyStateError, match="residual nan"):
+            steady_state(liou)
+
 
 class TestPhotonStatistics:
     def test_single_photon_fock_blocks(self, cfg55):
@@ -359,11 +366,21 @@ class TestDensityMatrixValidation:
         with pytest.raises(SolverError):
             DensityMatrix(bad).validate()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf is nan
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_diagonal_entry(self, cfg55, value):
+        # a SolverError before eigvalsh, which would raise LinAlgError or pass it
+        rho = random_density(np.random.default_rng(2), cfg55.dim).data.copy()
+        rho[1, 1] = value
+        with pytest.raises(SolverError, match="not Hermitian"):
+            DensityMatrix(rho).validate()
+
 
 class TestEvolve:
     def test_zero_time_is_identity(self, cfg55):
         rho = fock_photon_density(cfg55, 1)
-        assert evolve(build_liouvillian(unit_params(), cfg55), rho, 0.0) is rho
+        rho_0 = evolve(build_liouvillian(unit_params(), cfg55), rho, 0.0)
+        assert np.array_equal(rho_0.data, rho.data)
 
     def test_pure_photon_decay(self):
         cfg = HilbertConfig(3, 4)
@@ -394,8 +411,10 @@ class TestEvolve:
         bad[0, 0] = 1.5                      # Hermitian, trace one, not PSD
         one_photon = cfg.basis_index(0, 1)
         bad[one_photon, one_photon] = -0.5
-        with pytest.raises(SolverError, match="not PSD"):
-            evolve(build_liouvillian(unit_params(), cfg), DensityMatrix(bad), 0.1)
+        liou = build_liouvillian(unit_params(), cfg)
+        for t in (0.0, 0.1):                 # at t = 0 too, rho0 is not passed back
+            with pytest.raises(SolverError, match="not PSD"):
+                evolve(liou, DensityMatrix(bad), t)
 
 
 class TestG2Tau:
