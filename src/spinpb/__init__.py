@@ -5,37 +5,22 @@ weak-drive amplitude solver (interference optima, analytic g2) and a full
 Lindblad master-equation engine (steady states, Mandel Q, delayed
 correlations), plus a sweep CLI that writes CSV results with provenance
 manifests.
+
+The package root exports what a sweep or a paper figure needs.  Result
+types, ``evolve`` and the ``SolverError`` subclasses live in their modules
+(``spinpb.analytic``, ``spinpb.lindblad``, ``spinpb.errors``, ...).
 """
 
 __version__ = "0.1.0"
 
 from .analytic import (
-    AmplitudeVector,
-    OptimalPair,
     evolve_amplitudes,
     find_optimal_pairs,
     g2_analytic,
     steady_amplitudes,
 )
-from .errors import (
-    ConfigError,
-    DimensionError,
-    LiouvillianSizeError,
-    NonUniqueSteadyStateError,
-    SingularSystemError,
-    SolverError,
-    UndefinedCorrelationError,
-)
-from .lindblad import (
-    DensityMatrix,
-    Liouvillian,
-    build_liouvillian,
-    evolve,
-    g2_tau,
-    g2_zero,
-    mandel_q,
-    steady_state,
-)
+from .errors import ConfigError, SolverError
+from .lindblad import build_liouvillian, g2_tau, g2_zero, mandel_q, steady_state
 from .model import (
     DriveDirection,
     SpinGeometry,
@@ -44,35 +29,21 @@ from .model import (
     effective_kerr,
     sagnac_shift,
 )
-from .operators import HilbertConfig, ModeOperators, annihilation, embed_ops, tensor
-from .sweep import AxisSpec, RunManifest, SweepSpec, run_g2tau, run_optimal, run_sweep
+from .operators import HilbertConfig
+from .sweep import AxisSpec, SweepSpec, run_g2tau, run_optimal, run_sweep
 
 __all__ = [
-    "AmplitudeVector",
     "AxisSpec",
     "ConfigError",
-    "DensityMatrix",
-    "DimensionError",
     "DriveDirection",
     "HilbertConfig",
-    "Liouvillian",
-    "LiouvillianSizeError",
-    "ModeOperators",
-    "NonUniqueSteadyStateError",
-    "OptimalPair",
-    "RunManifest",
-    "SingularSystemError",
     "SolverError",
     "SpinGeometry",
     "SweepSpec",
     "SystemParams",
-    "UndefinedCorrelationError",
-    "annihilation",
     "build_hamiltonian",
     "build_liouvillian",
     "effective_kerr",
-    "embed_ops",
-    "evolve",
     "evolve_amplitudes",
     "find_optimal_pairs",
     "g2_analytic",
@@ -85,5 +56,4 @@ __all__ = [
     "sagnac_shift",
     "steady_amplitudes",
     "steady_state",
-    "tensor",
 ]

@@ -42,6 +42,8 @@ _BLOCK_TERMS = (_terms(HilbertConfig(3, 3)).reshape(7, 9, 9)[:, _BLOCK][:, :, _B
                 .reshape(7, 36))
 
 # optimal-pair search
+_DELTA_RANGE = (-1.0, 1.0)      # default search box, in units of omega_b
+_LAMBDA_RANGE = (0.0, 1.0e-5)
 _SCAN_POINTS = 401              # delta samples bracketing the roots
 _RESIDUAL_TOL = 1e-10           # accepted |c02| at a root, relative to |a|
 
@@ -57,15 +59,6 @@ class AmplitudeVector:
     c02: complex
     c20: complex
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c00, self.c10, self.c01,
-                         self.c11, self.c02, self.c20])
-
-    @classmethod
-    def from_array(cls, values) -> "AmplitudeVector":
-        c00, c10, c01, c11, c02, c20 = (complex(v) for v in values)
-        return cls(c00, c10, c01, c11, c02, c20)
-
 
 @dataclass(frozen=True)
 class OptimalPair:
@@ -74,15 +67,6 @@ class OptimalPair:
     delta_opt: float      # rad/s
     lambda_opt: float     # rad/s
     residual: float       # |c02| at the root
-    omega_b: float        # unit scale the pair is reported in
-
-    @property
-    def delta_opt_over_omega_b(self) -> float:
-        return self.delta_opt / self.omega_b
-
-    @property
-    def lambda_opt_over_omega_b(self) -> float:
-        return self.lambda_opt / self.omega_b
 
 
 def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
@@ -132,8 +116,8 @@ def g2_analytic(params: SystemParams) -> float | np.ndarray:
 
 
 def find_optimal_pairs(params: SystemParams,
-                       delta_range: tuple[float, float] = (-1.0, 1.0),
-                       lambda_range: tuple[float, float] = (0.0, 1.0e-5)
+                       delta_range: tuple[float, float] = _DELTA_RANGE,
+                       lambda_range: tuple[float, float] = _LAMBDA_RANGE
                        ) -> list[OptimalPair]:
     """Locate all real roots of c02(delta, Lambda) = 0 inside a box.
 
@@ -188,7 +172,7 @@ def find_optimal_pairs(params: SystemParams,
         residual = abs(steady_amplitudes(
             params.replace(delta=d_root, Lambda=l_root)).c02)
         if residual <= _RESIDUAL_TOL * abs(a):
-            roots.append(OptimalPair(d_root, l_root, residual, wb))
+            roots.append(OptimalPair(d_root, l_root, residual))
     return roots
 
 
@@ -203,12 +187,13 @@ def _coefficient_matrix(params: SystemParams) -> np.ndarray:
 
 
 def evolve_amplitudes(params: SystemParams, t_final: float,
-                      dt: float) -> tuple[np.ndarray, list[AmplitudeVector]]:
+                      dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Propagate the full six-amplitude system from the vacuum state.
 
     Applies the exact one-sample propagator exp(-i M dt) of dC/dt = -i M C
     with C(0) = (1, 0, 0, 0, 0, 0); dt is only the sampling interval.
-    Returns the sample times and the state at each sample, including t = 0.
+    Returns the sample times and the states, an (n_steps + 1, 6) complex
+    array in amplitude order (c00, c10, c01, c11, c02, c20), row 0 at t = 0.
 
     Because the generator is non-Hermitian the norm (and c00 itself) decays
     slowly; states converge to ``steady_amplitudes`` in the c00 = 1 gauge,
@@ -221,9 +206,8 @@ def evolve_amplitudes(params: SystemParams, t_final: float,
     step = expm(-1j * dt * _coefficient_matrix(params))
     n_steps = int(round(t_final / dt))
     times = np.arange(n_steps + 1) * dt
-    state = np.array([1, 0, 0, 0, 0, 0], dtype=complex)
-    states = [AmplitudeVector.from_array(state)]
-    for _ in range(n_steps):
-        state = step @ state
-        states.append(AmplitudeVector.from_array(state))
+    states = np.zeros((n_steps + 1, 6), dtype=complex)
+    states[0, 0] = 1.0
+    for k in range(n_steps):
+        states[k + 1] = step @ states[k]
     return times, states

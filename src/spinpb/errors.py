@@ -20,7 +20,12 @@ class SolverError(RuntimeError):
 
 
 class SingularSystemError(SolverError):
-    """A linear block of the amplitude equations is singular (gamma = 0)."""
+    """A linear block of the amplitude equations is singular.
+
+    ``SystemParams`` rejects gamma <= 0, so this happens only when a
+    subnormal gamma underflows to zero in the decay terms and nothing else
+    keeps the block regular (e.g. gamma = 5e-324 at zero detuning).
+    """
 
 
 class UndefinedCorrelationError(SolverError):

@@ -186,8 +186,8 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     They stop when every entry's step satisfies
     |dx_i| <= 1e-10 |x_i| + 1e-30 max|x|, so the ~(E/gamma)^4 two-photon
     populations settle too; a rule on the step's max norm would stop before
-    they do.  If M is singular, the sweeps diverge (max|dx| > max|x|) or 100
-    sweeps do not meet the rule, S is solved directly (``_direct_solve``).
+    they do.  If M is singular, the sweeps diverge (max|dx| > max|x| or NaN)
+    or 100 sweeps do not meet the rule, S is solved directly (``_direct_solve``).
     The result is Hermitized, checked against the residual bound
     |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a density matrix
     (``SolverError`` if it is not one).
@@ -257,7 +257,8 @@ def _sector_sweeps(system: csc_array, rhs: np.ndarray,
     """Solve ``system`` by sweeps x += block^-1 (rhs - system x) from x = 0.
 
     Returns None when ``block`` is singular, a step outgrows the solution or
-    ``_MAX_SWEEPS`` sweeps do not meet the entrywise rule of ``steady_state``.
+    is NaN, or ``_MAX_SWEEPS`` sweeps do not meet the entrywise rule of
+    ``steady_state``.
     """
     from scipy.sparse.linalg import splu
 
@@ -272,7 +273,7 @@ def _sector_sweeps(system: csc_array, rhs: np.ndarray,
         size = np.abs(vec)
         scale = size.max()
         change = np.abs(step)
-        if change.max() > scale:
+        if not change.max() <= scale:   # a NaN step falls back at once
             return None
         if np.all(change <= _SWEEP_RTOL * size + _SWEEP_ATOL * scale):
             return vec

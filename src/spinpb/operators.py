@@ -62,23 +62,12 @@ def annihilation(n: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n, dtype=float)), k=1).astype(complex)
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the magnon (first) factor as the slow index."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"tensor expects square factors, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise DimensionError(f"tensor expects square factors, got {b.shape}")
-    return np.kron(a, b)
-
-
 def embed_ops(cfg: HilbertConfig) -> ModeOperators:
     """Build a, a+, m, m+ and the number operators on the composite space."""
     id_m = np.eye(cfg.n_magnon, dtype=complex)
     id_p = np.eye(cfg.n_photon, dtype=complex)
-    a = tensor(id_m, annihilation(cfg.n_photon))
-    m = tensor(annihilation(cfg.n_magnon), id_p)
+    a = np.kron(id_m, annihilation(cfg.n_photon))   # magnon is the slow index
+    m = np.kron(annihilation(cfg.n_magnon), id_p)
     a_dag = a.conj().T
     m_dag = m.conj().T
     return ModeOperators(a=a, a_dag=a_dag, m=m, m_dag=m_dag,

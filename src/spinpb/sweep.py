@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import find_optimal_pairs, g2_analytic
+from .analytic import _DELTA_RANGE, _LAMBDA_RANGE, find_optimal_pairs, g2_analytic
 from .config import (
     SPELLINGS,
     _integer,
@@ -305,14 +305,14 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
                    asdict(spec), t0)
 
 
-def run_optimal(params: SystemParams, directions: list[str], output_path,
-                delta_range: tuple[float, float] = (-1.0, 1.0),
-                lambda_range: tuple[float, float] = (0.0, 1.0e-5)) -> RunManifest:
+def run_optimal(params: SystemParams, directions: list[str],
+                output_path) -> RunManifest:
     """Root-search per drive direction; CSV of the located optimal pairs.
 
     Directions are 'cw' (delta_F = +|delta_F|) or 'ccw' (delta_F =
-    -|delta_F|), each at most once.  A direction with no root in the box
-    emits one warning row of NaNs rather than failing.
+    -|delta_F|), each at most once.  The search box is the default of
+    ``find_optimal_pairs``.  A direction with no root in the box emits one
+    warning row of NaNs rather than failing.
     """
     _check_output(output_path)
     t0 = time.monotonic()
@@ -322,7 +322,7 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
     for direction in directions:
         shift = abs(params.delta_F) if direction == "cw" else -abs(params.delta_F)
         point = params.replace(delta_F=shift)
-        pairs = find_optimal_pairs(point, delta_range, lambda_range)
+        pairs = find_optimal_pairs(point)
         if not pairs:
             rows.append((shift / params.gamma, float("nan"), float("nan"),
                          float("nan")))
@@ -330,11 +330,11 @@ def run_optimal(params: SystemParams, directions: list[str], output_path,
                              "error": "no optimal pair in search box"})
             continue
         for pair in pairs:
-            rows.append((shift / params.gamma, pair.delta_opt_over_omega_b,
-                         pair.lambda_opt_over_omega_b, pair.residual))
+            rows.append((shift / params.gamma, pair.delta_opt / params.omega_b,
+                         pair.lambda_opt / params.omega_b, pair.residual))
     check = (0.0, True, ["pair search is analytic: truncation-free, delta is 0"])
     inputs = {"params": asdict(params), "directions": directions,
-              "delta_range": delta_range, "lambda_range": lambda_range,
+              "delta_range": _DELTA_RANGE, "lambda_range": _LAMBDA_RANGE,
               "output_path": str(output_path)}
     return _finish(output_path, ["delta_F_over_gamma", "delta_opt_over_omega_b",
                                  "lambda_opt_over_omega_b", "residual"],

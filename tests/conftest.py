@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from spinpb import DensityMatrix, HilbertConfig, SystemParams
+from spinpb import HilbertConfig, SystemParams
+from spinpb.lindblad import DensityMatrix
 
 TWO_PI = 2.0 * np.pi
 

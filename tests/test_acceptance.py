@@ -24,10 +24,8 @@ import numpy as np
 import pytest
 
 from spinpb import (
-    DensityMatrix,
     HilbertConfig,
     build_liouvillian,
-    embed_ops,
     find_optimal_pairs,
     g2_analytic,
     g2_tau,
@@ -36,6 +34,8 @@ from spinpb import (
     steady_amplitudes,
     steady_state,
 )
+from spinpb.lindblad import DensityMatrix
+from spinpb.operators import embed_ops
 from conftest import GAMMA, OMEGA_B, PAIRS_CCW, PAIRS_CW
 
 CFG55 = HilbertConfig(5, 5)
@@ -97,9 +97,9 @@ def test_01_optimal_pair_reproduction(found_pairs):
         got = found_pairs[sign]
         ok &= len(got) == 2
         for d_exp, l_exp in expected:
-            best = min(got, key=lambda q: abs(q.delta_opt_over_omega_b - d_exp))
-            d_err = abs(best.delta_opt_over_omega_b - d_exp) / abs(d_exp)
-            l_err = abs(best.lambda_opt_over_omega_b - l_exp) / l_exp
+            best = min(got, key=lambda q: abs(q.delta_opt / OMEGA_B - d_exp))
+            d_err = abs(best.delta_opt / OMEGA_B - d_exp) / abs(d_exp)
+            l_err = abs(best.lambda_opt / OMEGA_B - l_exp) / l_exp
             ok &= d_err <= 0.01 and l_err <= 0.01
             details.append(f"({d_exp:+.6f}: {d_err:.2e}/{l_err:.2e})")
     assert report(
@@ -123,7 +123,7 @@ def test_02_blockade_depth(found_pairs, working_params):
             slope = drive_exponent(p)
             ana_ok &= g_ana < 1e-8
             num_ok &= abs(slope - 2.0) <= 0.05
-            lines.append(f"({pair.delta_opt_over_omega_b:+.3f}: "
+            lines.append(f"({pair.delta_opt / OMEGA_B:+.3f}: "
                          f"ana {g_ana:.1e}, slope {slope:.4f})")
     ok = ana_ok and num_ok
     report("blockade depth", ok,
@@ -202,7 +202,7 @@ def test_06_dephasing_degradation(found_pairs, working_params):
             values = [g2_numeric(p.replace(gamma_p=g * GAMMA))
                       for g in (0.0, 0.01, 0.1)]
             ok &= values[0] <= values[1] <= values[2]
-            lines.append(f"({pair.delta_opt_over_omega_b:+.3f}: "
+            lines.append(f"({pair.delta_opt / OMEGA_B:+.3f}: "
                          + "->".join(f"{v:.1e}" for v in values) + ")")
     assert report("dephasing degradation", ok,
                   "g2 non-decreasing over gamma_p in {0, 0.01, 0.1} gamma "
@@ -223,7 +223,7 @@ def test_07_kerr_scan_structure(found_pairs, working_params):
     ok = depth <= 1e-3 and abs(k_min - 0.1) <= 0.05
     detail = (f"minimum {depth:.3e} at K/gamma = {k_min:.3f} "
               f"(need <= 1e-3 within 0.1 +/- 0.05) at delta = "
-              f"{pair.delta_opt_over_omega_b:+.7f} omega_b")
+              f"{pair.delta_opt / OMEGA_B:+.7f} omega_b")
     report("Kerr-scan structure", ok, detail)
     assert ok, ("no antibunching minimum <= 1e-3 near K/gamma = 0.1 at the "
                 "CW interference root found for K = 0.1 gamma")

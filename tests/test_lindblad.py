@@ -13,20 +13,14 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse import csc_array
 
 from spinpb import (
-    DensityMatrix,
     HilbertConfig,
-    Liouvillian,
-    LiouvillianSizeError,
-    NonUniqueSteadyStateError,
     SolverError,
     SystemParams,
-    UndefinedCorrelationError,
     build_liouvillian,
-    embed_ops,
-    evolve,
     g2_analytic,
     g2_tau,
     g2_zero,
@@ -34,9 +28,12 @@ from spinpb import (
     steady_state,
 )
 from spinpb.config import params_from_dict
+from spinpb.errors import (LiouvillianSizeError, NonUniqueSteadyStateError,
+                           UndefinedCorrelationError)
 import spinpb.lindblad as lindblad
-from spinpb.lindblad import (_sector_block, _trace_row_system, unvectorize,
-                             vectorize)
+from spinpb.lindblad import (DensityMatrix, Liouvillian, _sector_block,
+                             _trace_row_system, evolve, unvectorize, vectorize)
+from spinpb.operators import embed_ops
 from conftest import GAMMA, J, OMEGA_B, PAIRS_CCW, PAIRS_CW, random_density
 
 
@@ -249,6 +246,33 @@ class TestSteadyState:
         value = g2_zero(steady_state(liou), cfg)
         assert calls == [1]
         assert abs(value - dense) <= 1e-10 * dense
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+    def test_nan_sweeps_fall_back_at_once(self, monkeypatch):
+        # at E = 1e200 rad/s the sweep step turns NaN by the third sweep;
+        # a NaN fails every comparison, so it must count as divergence
+        # rather than run out the sweep limit
+        solves, sweeps_at_fallback = [], []
+        splu = scipy.sparse.linalg.splu
+
+        class CountingLU:
+            def __init__(self, matrix):
+                self.lu = splu(matrix)
+
+            def solve(self, rhs):
+                solves.append(1)
+                return self.lu.solve(rhs)
+
+        direct_solve = lindblad._direct_solve
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+        monkeypatch.setattr(lindblad, "_direct_solve", lambda *args: (
+            sweeps_at_fallback.append(len(solves)) or direct_solve(*args)))
+        liou = build_liouvillian(preset_point("fig2a", -0.684495).replace(E=1e200),
+                                 HilbertConfig(5, 5))
+        with pytest.raises(SolverError):
+            steady_state(liou)
+        assert len(sweeps_at_fallback) == 1
+        assert 1 <= sweeps_at_fallback[0] <= 3
 
     @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
     def test_sector_block_is_drive_free_system(self, working_params, n_magnon,

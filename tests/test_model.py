@@ -11,9 +11,9 @@ from spinpb import (
     SystemParams,
     build_hamiltonian,
     effective_kerr,
-    embed_ops,
     sagnac_shift,
 )
+from spinpb.operators import embed_ops
 
 GEOM = SpinGeometry(n_index=1.4, radius=30e-6, wavelength=1550e-9,
                     omega_a=2 * np.pi * 193.4e12, c=3.0e8)

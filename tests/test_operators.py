@@ -1,9 +1,11 @@
-"""Operator kernel: ladder matrices, Kronecker products, composite embedding."""
+"""Operator kernel: ladder matrices and the composite embedding."""
 
 import numpy as np
 import pytest
 
-from spinpb import DimensionError, HilbertConfig, annihilation, embed_ops, tensor
+from spinpb import HilbertConfig
+from spinpb.errors import DimensionError
+from spinpb.operators import annihilation, embed_ops
 
 
 class TestAnnihilation:
@@ -32,36 +34,6 @@ class TestAnnihilation:
     def test_rejects_small_dimension(self, n):
         with pytest.raises(DimensionError):
             annihilation(n)
-
-
-class TestTensor:
-    def test_identity_product(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_first_factor_is_slow_index(self):
-        out = tensor(np.diag([0.0, 1.0]), np.eye(2))
-        np.testing.assert_array_equal(np.diag(out), [0, 0, 1, 1])
-
-    def test_mixed_product_property(self):
-        rng = np.random.default_rng(7)
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                      for _ in range(4))
-        np.testing.assert_allclose(tensor(a, b) @ tensor(c, d),
-                                   tensor(a @ c, b @ d), atol=1e-12)
-
-    def test_associativity_exact_for_integers(self):
-        rng = np.random.default_rng(11)
-        a, b, c = (rng.integers(-3, 4, size=(2, 2)).astype(complex)
-                   for _ in range(3))
-        left = tensor(tensor(a, b), c)
-        right = tensor(a, tensor(b, c))
-        np.testing.assert_array_equal(left, right)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            tensor(np.ones((2, 3)), np.eye(2))
-        with pytest.raises(DimensionError):
-            tensor(np.eye(2), np.ones(4))
 
 
 class TestEmbedOps:

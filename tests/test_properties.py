@@ -17,11 +17,8 @@ from scipy.linalg import expm
 from spinpb import (
     HilbertConfig,
     SystemParams,
-    annihilation,
     build_hamiltonian,
     build_liouvillian,
-    embed_ops,
-    evolve,
     find_optimal_pairs,
     g2_analytic,
     g2_zero,
@@ -29,7 +26,8 @@ from spinpb import (
     steady_amplitudes,
     steady_state,
 )
-from spinpb.lindblad import DensityMatrix, unvectorize, vectorize
+from spinpb.lindblad import DensityMatrix, evolve, unvectorize, vectorize
+from spinpb.operators import annihilation, embed_ops
 from spinpb.sweep import _write_csv
 from conftest import GAMMA, J, OMEGA_B, random_density
 

@@ -366,18 +366,13 @@ class TestRunOptimal:
         assert abs(float(first[1]) - (-0.684495)) < 0.01
 
     def test_empty_direction_warning_row(self, tmp_path, working_params):
+        # without drive there is no pathway to cancel: no root anywhere
         out = tmp_path / "none.csv"
-        manifest = run_optimal(working_params, ["cw"], out,
-                               lambda_range=(5e-6, 1e-5))
+        manifest = run_optimal(working_params.replace(E=0.0), ["cw"], out)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "nan"
         assert manifest.failures
-
-    def test_reversed_box_is_config_error(self, tmp_path, working_params):
-        with pytest.raises(ConfigError):
-            run_optimal(working_params, ["cw"], tmp_path / "x.csv",
-                        delta_range=(1.0, -1.0))
 
     def test_unknown_direction(self, tmp_path, working_params):
         with pytest.raises(ConfigError):
@@ -401,12 +396,14 @@ class TestConfigHash:
     def test_optimal_hash_covers_directions_and_box(self, tmp_path,
                                                     working_params):
         out = tmp_path / "opt.csv"
-        hashes = [run_optimal(working_params, directions, out, **box).config_hash
-                  for directions, box in [(["cw"], {}), (["cw"], {}),
-                                          (["cw", "ccw"], {}),
-                                          (["cw"], {"delta_range": (-1.0, 0.0)})]]
-        assert hashes[0] == hashes[1]
-        assert len(set(hashes)) == 3
+        hashes = [run_optimal(working_params, directions, out).config_hash
+                  for directions in (["cw"], ["cw"], ["cw", "ccw"])]
+        assert hashes[0] == hashes[1] != hashes[2]
+        # the fixed search box of find_optimal_pairs is part of the inputs
+        assert hashes[0] == config_hash({
+            "params": asdict(working_params), "directions": ["cw"],
+            "delta_range": (-1.0, 1.0), "lambda_range": (0.0, 1.0e-5),
+            "output_path": str(out)})
 
     def test_hash_of_fixed_inputs_is_pinned(self, tmp_path, monkeypatch):
         """The hashes of one parsed sweep spec and one optimal input.
