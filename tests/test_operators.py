@@ -36,6 +36,17 @@ class TestAnnihilation:
             annihilation(n)
 
 
+class TestTensor:
+    """The composite space is the Kronecker product magnon (x) photon."""
+
+    def test_first_factor_is_slow_index(self):
+        ops = embed_ops(HilbertConfig(3, 3))
+        np.testing.assert_allclose(np.diag(ops.n_m),
+                                   [0, 0, 0, 1, 1, 1, 2, 2, 2], atol=1e-14)
+        np.testing.assert_allclose(np.diag(ops.n_a),
+                                   [0, 1, 2, 0, 1, 2, 0, 1, 2], atol=1e-14)
+
+
 class TestEmbedOps:
     def test_photon_commutator_truncated(self):
         cfg = HilbertConfig(3, 3)
