@@ -22,6 +22,7 @@ scipy is imported inside the functions that use it, so importing the package
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,8 +202,10 @@ def evolve_amplitudes(params: SystemParams, t_final: float,
     """
     from scipy.linalg import expm
 
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("dt and t_final must be positive")
+    if not (0 < dt < math.inf and 0 < t_final < math.inf
+            and t_final / dt < math.inf):   # NaN fails too
+        raise ConfigError("dt, t_final and t_final / dt must be positive and"
+                          f" finite, got t_final = {t_final!r}, dt = {dt!r}")
     step = expm(-1j * dt * _coefficient_matrix(params))
     n_steps = int(round(t_final / dt))
     times = np.arange(n_steps + 1) * dt

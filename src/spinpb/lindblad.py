@@ -21,9 +21,10 @@ The steady state solves the trace-constrained system S by splitting it.
 Only the drive and the pair term change N = n_a + n_m, so the entries of S
 within one sector k = N_left - N_right form the drive-free system M: block
 diagonal, and with its zeros dropped a small sparse LU (fill 1.0e5-1.9e5 at
-8x8, against 3.1e6 for S).  Sweeps x += M^-1 (b - S x) bring the drive in
-until every entry has settled to 1e-10 of itself; where they diverge or
-stall, S is factored directly as a fallback.
+8x8, against 3.1e6 for S).  S and M are masks of L, whose pattern holds the
+trace row.  Sweeps x += M^-1 (b - S x) bring the drive in until every entry
+has settled to 1e-10 of itself; where they diverge or stall, S is factored
+directly as a fallback.
 
 Two-time correlations use the regression property: the conditional operator
 a rho_ss a+ is propagated by the same generator as rho itself.  The generator
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (
+    ConfigError,
     LiouvillianSizeError,
     NonUniqueSteadyStateError,
     SolverError,
@@ -81,10 +83,6 @@ class DensityMatrix:
     """Trace-one Hermitian PSD matrix on the composite magnon-photon space."""
 
     data: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
 
     def validate(self) -> None:
         """Raise if Hermiticity, unit trace, or numerical PSD is violated.
@@ -126,10 +124,10 @@ def _generators(cfg: HilbertConfig):
     """L's fixed CSC pattern and its value table, one column per weight.
 
     Returns ``(table, indices, indptr)``: ``table`` is (nnz, 11), the values
-    of the 11 fixed superoperators on the union of their patterns, so L is
-    ``table @ weights`` on ``(indices, indptr)``.  The superoperators are
-    -i(I x T - T^T x I) for the rows T of ``model._terms``, then
-    c x c - (I x c^T c + c^T c x I)/2 for the real jumps c = a, m, m+, n_a.
+    of the 11 fixed superoperators on the union of their patterns and the
+    trace row, so L is ``table @ weights`` on ``(indices, indptr)``.  The
+    superoperators are -i(I x T - T^T x I) for the rows T of ``model._terms``,
+    then c x c - (I x c^T c + c^T c x I)/2 for the jumps c = a, m, m+, n_a.
     """
     from scipy import sparse
 
@@ -143,9 +141,9 @@ def _generators(cfg: HilbertConfig):
                                           + sparse.kron(c.T @ c, eye))
                for c in (ops.a.real, ops.m.real, ops.m_dag.real, ops.n_a.real)]
     supers = [sparse.coo_array(s) for s in supers]
-    # column-major position of each entry: sorted keys are CSC order
+    # column-major positions of the entries and the trace row: sorted is CSC
     keys = [s.col.astype(np.int64) * n + s.row for s in supers]
-    union = np.unique(np.concatenate(keys))
+    union = np.unique(np.concatenate(keys + [np.arange(0, n, dim + 1) * n]))
     table = np.zeros((union.size, len(supers)), dtype=complex)
     for column, (s, key) in enumerate(zip(supers, keys)):
         np.add.at(table, (np.searchsorted(union, key), column), s.data)
@@ -180,9 +178,9 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Solve L rho = 0 with tr(rho) = 1 by trace-row replacement.
 
     The vectorized trace functional replaces row 0 of L; call that system S.
-    Its drive-free part M (``_sector_block``: E = Lambda = 0, block diagonal
-    in the sector k = N_left - N_right) is LU-factored by SuperLU, and from
-    x = 0 the sweeps x += M^-1 (b - S x) bring in the drive and pair terms.
+    S and its drive-free part M (E = Lambda = 0, block diagonal in the sector
+    k = N_left - N_right) are masks of L (``_split_systems``); SuperLU
+    factors M, and sweeps x += M^-1 (b - S x) from x = 0 bring in E and Lambda.
     They stop when every entry's step satisfies
     |dx_i| <= 1e-10 |x_i| + 1e-30 max|x|, so the ~(E/gamma)^4 two-photon
     populations settle too; a rule on the step's max norm would stop before
@@ -193,10 +191,10 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     (``SolverError`` if it is not one).
     """
     L = liouvillian.generator
-    system = _trace_row_system(liouvillian)
+    system, block = _split_systems(liouvillian)
     rhs = np.zeros(system.shape[0], dtype=complex)
     rhs[0] = 1.0
-    vec = _sector_sweeps(system, rhs, _sector_block(system, liouvillian.cfg))
+    vec = _sector_sweeps(system, rhs, block)
     if vec is None:
         vec = _direct_solve(system, rhs)
     rho = unvectorize(vec, liouvillian.dim)
@@ -212,44 +210,33 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     return state
 
 
-def _trace_row_system(liouvillian: Liouvillian) -> csc_array:
-    """L with row 0 replaced by the trace functional on column-stacked input."""
-    from scipy.sparse import csc_array, vstack
+def _split_systems(liouvillian: Liouvillian) -> tuple[csc_array, csc_array]:
+    """The trace-row system S and its drive-free block M, as masks of L.
 
-    dim = liouvillian.dim
-    diagonal = np.arange(0, dim**2, dim + 1)
-    trace_row = csc_array((np.ones(dim, dtype=complex),
-                           (np.zeros(dim, dtype=np.int32), diagonal)),
-                          shape=(1, dim**2))
-    return vstack([trace_row, liouvillian.generator[1:]], format="csc")
-
-
-@functools.lru_cache
-def _sectors(cfg: HilbertConfig) -> np.ndarray:
-    """k = N_left - N_right of each column-stacked entry, N = n_a + n_m."""
-    ops = embed_ops(cfg)
-    number = np.rint(np.real(np.diag(ops.n_a + ops.n_m))).astype(np.int64)
-    k = vectorize(number[:, None] - number[None, :])
-    k.flags.writeable = False
-    return k
-
-
-def _sector_block(system: csc_array, cfg: HilbertConfig) -> csc_array:
-    """The entries of ``system`` whose row and column share a sector k.
-
-    Only the drive and the pair term change N = n_a + n_m, so for a
-    trace-row system this is the system at E = Lambda = 0.  Off-sector and
-    zero entries are dropped, not stored as zeros: SuperLU orders and
-    factors whatever pattern it is given.
+    S keeps L's entries in rows >= 1 and at the trace positions
+    (0, j(dim + 1)), set to 1, which ``_generators`` puts in L's pattern; a
+    generator that lacks one fails a check of ``steady_state``.  M keeps the
+    nonzero entries of S whose row and column share a sector
+    k = N_left - N_right (N = m + n of basis state m * n_photon + n), and
+    stores no zeros: SuperLU orders and factors whatever pattern it gets.
     """
     from scipy.sparse import csc_array
 
-    k = _sectors(cfg)
-    columns = np.repeat(k, np.diff(system.indptr))
-    keep = (k[system.indices] == columns) & (system.data != 0)
-    indptr = np.concatenate(([0], np.cumsum(keep)))[system.indptr]
-    return csc_array((system.data[keep], system.indices[keep], indptr),
-                     shape=system.shape)
+    L = liouvillian.generator
+    dim = liouvillian.dim
+    rows = L.indices
+    columns = np.repeat(np.arange(dim**2), np.diff(L.indptr))
+    trace = (rows == 0) & (columns % (dim + 1) == 0)
+    data = np.where(trace, 1.0, L.data)
+    number = np.add(*np.divmod(np.arange(dim), liouvillian.cfg.n_photon))
+    sector = vectorize(np.subtract.outer(number, number))
+
+    def mask(keep: np.ndarray) -> csc_array:
+        indptr = np.concatenate(([0], np.cumsum(keep)))[L.indptr]
+        return csc_array((data[keep], rows[keep], indptr), shape=L.shape)
+
+    keep = (rows != 0) | trace
+    return mask(keep), mask(keep & (sector[rows] == sector[columns]) & (data != 0))
 
 
 def _sector_sweeps(system: csc_array, rhs: np.ndarray,
@@ -323,6 +310,14 @@ def mandel_q(rho: DensityMatrix, cfg: HilbertConfig) -> float:
     return (nn - n**2) / n
 
 
+def _checked_times(times) -> np.ndarray:
+    """``times`` sorted ascending; ``ConfigError`` unless all are finite and >= 0."""
+    out = np.asarray(sorted(float(t) for t in times))
+    if not np.all((out >= 0) & (out < np.inf)):   # NaN fails both
+        raise ConfigError(f"times must be non-negative and finite, got {out}")
+    return out
+
+
 def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
                times) -> list[np.ndarray]:
     """exp(L t) vec at each of the ascending times ``times``.
@@ -352,12 +347,12 @@ def evolve(liouvillian: Liouvillian, rho0: DensityMatrix,
            t_final: float) -> DensityMatrix:
     """Propagate rho0 for t_final seconds by the exact exp(L t_final).
 
-    The result is validated as a density matrix (``SolverError`` if it is
-    not one, e.g. when rho0 was not positive semidefinite).
+    t_final must be finite and >= 0 (``ConfigError``).  The result is
+    validated as a density matrix (``SolverError`` if it is not one, e.g.
+    when rho0 was not positive semidefinite).
     """
-    if t_final < 0:
-        raise ValueError("t_final must be non-negative")
-    (vec,) = _propagate(liouvillian, vectorize(rho0.data), [t_final])
+    (vec,) = _propagate(liouvillian, vectorize(rho0.data),
+                        _checked_times([t_final]))
     state = DensityMatrix(unvectorize(vec, liouvillian.dim))
     state.validate()
     return state
@@ -370,13 +365,11 @@ def g2_tau(params: SystemParams, cfg: HilbertConfig,
     Computes the steady state, forms the conditional operator a rho_ss a+,
     propagates it exactly with the master-equation generator, and normalizes
     by the squared steady photon number.  The grid is sorted ascending;
-    delays must be non-negative.
+    delays must be non-negative and finite.
     """
-    taus = np.asarray(sorted(float(t) for t in tau_grid))
+    taus = _checked_times(tau_grid)
     if taus.size == 0:
         return []
-    if taus[0] < 0:
-        raise ValueError("delays must be non-negative")
     liouvillian = build_liouvillian(params, cfg)
     rho_ss = steady_state(liouvillian)
     n_ss, _ = _photon_moments(rho_ss.data, cfg)

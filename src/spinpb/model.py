@@ -58,8 +58,10 @@ class SpinGeometry:
     dn_dlambda: float = 0.0
 
     def __post_init__(self):
-        for name in ("n_index", "radius", "wavelength", "omega_a", "c"):
-            if getattr(self, name) <= 0:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ConfigError(f"SpinGeometry.{name} must be finite, got {value!r}")
+            if not value > 0 and name != "dn_dlambda":
                 raise ConfigError(f"SpinGeometry.{name} must be positive")
 
 
@@ -135,21 +137,31 @@ def sagnac_shift(geom: SpinGeometry, omega_rot: float,
     """Rotation-induced frequency shift of the driven counter-propagating mode.
 
     Returns +/- Omega * (n r omega_a / c) * (1 - 1/n^2 - (lambda/n) dn/dlambda),
-    positive for CW drive, negative for CCW.
+    positive for CW drive, negative for CCW.  A shift that is not finite (a
+    non-finite omega_rot, or an overflow) raises ``ConfigError``.
     """
-    magnitude = omega_rot * geom.n_index * geom.radius * geom.omega_a / geom.c
-    magnitude *= (1.0 - 1.0 / geom.n_index**2
-                  - (geom.wavelength / geom.n_index) * geom.dn_dlambda)
+    try:
+        magnitude = omega_rot * geom.n_index * geom.radius * geom.omega_a / geom.c
+        magnitude *= (1.0 - 1.0 / geom.n_index**2
+                      - (geom.wavelength / geom.n_index) * geom.dn_dlambda)
+    except (OverflowError, ZeroDivisionError):   # n_index**2 out of float range
+        magnitude = math.inf
+    if not math.isfinite(magnitude):
+        raise ConfigError(f"Sagnac shift at omega_rot = {omega_rot!r} is not finite")
     return magnitude if direction is DriveDirection.CW else -magnitude
 
 
 def effective_kerr(K0: float, g: float, omega_b: float) -> float:
-    """Effective Kerr strength: bare Kerr minus the magnetostrictive shift g^2/omega_b."""
-    if omega_b == 0:
-        raise ZeroDivisionError("omega_b must be nonzero")
-    if omega_b < 0:
-        raise ConfigError("omega_b must be positive")
-    return K0 - g**2 / omega_b
+    """Effective Kerr strength: bare Kerr minus the magnetostrictive shift g^2/omega_b.
+
+    ``ConfigError`` unless omega_b is positive and the result finite.
+    """
+    if not 0 < omega_b < math.inf:       # NaN fails too
+        raise ConfigError(f"omega_b must be positive and finite, got {omega_b!r}")
+    kerr = K0 - g * g / omega_b
+    if not math.isfinite(kerr):
+        raise ConfigError(f"effective Kerr strength {kerr!r} is not finite")
+    return kerr
 
 
 def _coefficients(params: SystemParams, hermitian: bool) -> np.ndarray:

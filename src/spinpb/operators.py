@@ -19,13 +19,16 @@ class HilbertConfig:
     """Truncation dimensions of the two-mode Fock space.
 
     Two-excitation physics needs at least levels 0, 1, 2 in each mode, so
-    both dimensions must be >= 3.
+    both dimensions must be integers (numpy integers too) >= 3.
     """
 
     n_magnon: int = 5
     n_photon: int = 5
 
     def __post_init__(self):
+        for size in (self.n_magnon, self.n_photon):
+            if not isinstance(size, (int, np.integer)):
+                raise DimensionError(f"truncation must be integers, got {size!r}")
         if self.n_magnon < 3 or self.n_photon < 3:
             raise DimensionError(
                 f"truncation must keep Fock levels 0..2 in each mode, got "

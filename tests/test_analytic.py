@@ -300,3 +300,9 @@ class TestEvolveAmplitudes:
             evolve_amplitudes(working_params, t_final=1e-6, dt=0.0)
         with pytest.raises(ValueError):
             evolve_amplitudes(working_params, t_final=0.0, dt=1e-9)
+
+    @pytest.mark.parametrize("t_final, dt", [(float("inf"), 0.1), (float("nan"), 0.1),
+                                             (1e-6, float("inf")), (1e300, 1e-300)])
+    def test_rejects_non_finite_times(self, working_params, t_final, dt):
+        with pytest.raises(ConfigError, match="finite"):
+            evolve_amplitudes(working_params, t_final=t_final, dt=dt)

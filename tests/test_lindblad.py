@@ -17,6 +17,7 @@ import scipy.sparse.linalg
 from scipy.sparse import csc_array
 
 from spinpb import (
+    ConfigError,
     HilbertConfig,
     SolverError,
     SystemParams,
@@ -31,8 +32,8 @@ from spinpb.config import params_from_dict
 from spinpb.errors import (LiouvillianSizeError, NonUniqueSteadyStateError,
                            UndefinedCorrelationError)
 import spinpb.lindblad as lindblad
-from spinpb.lindblad import (DensityMatrix, Liouvillian, _sector_block,
-                             _trace_row_system, evolve, unvectorize, vectorize)
+from spinpb.lindblad import (DensityMatrix, Liouvillian, _split_systems, evolve,
+                             unvectorize, vectorize)
 from spinpb.operators import embed_ops
 from conftest import GAMMA, J, OMEGA_B, PAIRS_CCW, PAIRS_CW, random_density
 
@@ -45,13 +46,17 @@ def unit_params(**kw) -> SystemParams:
 
 
 def preset_point(panel: str, delta: float, m_th: float = 0.0,
-                 gamma_p: float = 0.0) -> SystemParams:
-    """A fig2 preset's base at delta (omega_b units); gamma_p in gamma units."""
+                 gamma_p: float = 0.0, E: float | None = None) -> SystemParams:
+    """A fig2 preset's base at delta (omega_b units); gamma_p in gamma units.
+
+    E, in gamma units, replaces the preset's drive when given.
+    """
     raw = json.loads(resources.files("spinpb.presets")
                      .joinpath(f"{panel}.json").read_text())
     base = params_from_dict(raw["base"])
-    return base.replace(delta=delta * base.omega_b, m_th=m_th,
-                        gamma_p=gamma_p * base.gamma)
+    point = base.replace(delta=delta * base.omega_b, m_th=m_th,
+                         gamma_p=gamma_p * base.gamma)
+    return point if E is None else point.replace(E=E * base.gamma)
 
 
 def refined_solve(liouvillian: Liouvillian) -> DensityMatrix:
@@ -216,9 +221,11 @@ class TestSteadyState:
         value = g2_zero(steady_state(build_liouvillian(p, cfg)), cfg)
         assert abs(value - exact) <= 1e-10 * exact
 
-    @pytest.mark.parametrize("noise", [{}, {"m_th": 1e-7}])
+    @pytest.mark.parametrize("noise", [{}, {"m_th": 1e-7},
+                                       pytest.param({"E": 0.2}, id="E0.2")])
     def test_working_point_needs_no_direct_solve(self, monkeypatch, noise):
-        # the sector sweeps must settle the fig2a dip on their own
+        # the sector sweeps must settle the fig2a dip on their own, also at
+        # E = 0.2 gamma, the presets' strongest drive (33 sweeps)
         def direct_solve(*_args):
             raise AssertionError("sector sweeps fell back to the direct solve")
         monkeypatch.setattr(lindblad, "_direct_solve", direct_solve)
@@ -282,8 +289,8 @@ class TestSteadyState:
         p = working_params.replace(delta=-0.3 * OMEGA_B, Lambda=2.5e-6 * OMEGA_B,
                                    beta=0.4, m_th=0.1, gamma_p=0.01 * GAMMA)
         cfg = HilbertConfig(n_magnon, n_photon)
-        block = _sector_block(_trace_row_system(build_liouvillian(p, cfg)), cfg)
-        free = _trace_row_system(build_liouvillian(p.replace(E=0.0, Lambda=0.0), cfg))
+        _, block = _split_systems(build_liouvillian(p, cfg))
+        free, _ = _split_systems(build_liouvillian(p.replace(E=0.0, Lambda=0.0), cfg))
         free.eliminate_zeros()
         assert 0 < block.nnz < build_liouvillian(p, cfg).generator.nnz
         np.testing.assert_array_equal(block.indptr, free.indptr)
@@ -440,6 +447,13 @@ class TestEvolve:
             with pytest.raises(SolverError, match="not PSD"):
                 evolve(liou, DensityMatrix(bad), t)
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_time(self, cfg55, t):
+        # an input error, raised before any propagation (and its warnings)
+        liou = build_liouvillian(unit_params(), cfg55)
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            evolve(liou, fock_photon_density(cfg55, 1), t)
+
 
 class TestG2Tau:
     def test_zero_delay_matches_equal_time(self, working_params, cfg55):
@@ -496,6 +510,13 @@ class TestG2Tau:
     def test_vacuum_has_no_correlations(self, cfg55):
         with pytest.raises(UndefinedCorrelationError):
             g2_tau(unit_params(), cfg55, [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [-1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_delays(self, monkeypatch, working_params, cfg55, bad):
+        # rejected up front, before the steady state is solved
+        monkeypatch.setattr(lindblad, "steady_state", None)
+        with pytest.raises(ConfigError, match="non-negative and finite"):
+            g2_tau(working_params, cfg55, [0.0, bad, 1e-6])
 
 
 class TestAnalyticNumericAgreement:

@@ -53,6 +53,24 @@ class TestSagnacShift:
             SpinGeometry(n_index=-1.0, radius=30e-6, wavelength=1550e-9,
                          omega_a=1e9)
 
+    @pytest.mark.parametrize("key, value", [("n_index", float("nan")),
+                                            ("radius", float("inf")),
+                                            ("dn_dlambda", float("nan"))])
+    def test_rejects_non_finite_geometry(self, key, value):
+        fields = dict(n_index=1.0, radius=1e-3, wavelength=1e-2, omega_a=1e10)
+        with pytest.raises(ConfigError, match=key):
+            SpinGeometry(**{**fields, key: value})
+
+    @pytest.mark.parametrize("n_index, omega_rot", [(1.4, float("nan")),
+                                                    (1.4, float("inf")),
+                                                    (1.4, 1e300), (1e200, 1.0),
+                                                    (1e-200, 1.0)])
+    def test_rejects_non_finite_shift(self, n_index, omega_rot):
+        geom = SpinGeometry(n_index=n_index, radius=30e-6, wavelength=1550e-9,
+                            omega_a=GEOM.omega_a)
+        with pytest.raises(ConfigError, match="not finite"):
+            sagnac_shift(geom, omega_rot, DriveDirection.CW)
+
 
 class TestEffectiveKerr:
     def test_no_magnomechanical_correction(self):
@@ -63,8 +81,19 @@ class TestEffectiveKerr:
         assert effective_kerr(g**2 / wb, g, wb) == 0.0
 
     def test_zero_omega_b(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ConfigError):
             effective_kerr(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("omega_b", [float("nan"), float("inf")])
+    def test_non_finite_omega_b(self, omega_b):
+        with pytest.raises(ConfigError, match="omega_b"):
+            effective_kerr(1.0, 1.0, omega_b)
+
+    @pytest.mark.parametrize("K0, g", [(float("nan"), 1.0), (1.0, float("inf")),
+                                       (1.0, 1e200)])
+    def test_non_finite_result(self, K0, g):
+        with pytest.raises(ConfigError, match="not finite"):
+            effective_kerr(K0, g, 1.0)
 
     def test_negative_omega_b(self):
         with pytest.raises(ConfigError):

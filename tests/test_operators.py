@@ -91,6 +91,15 @@ class TestHilbertConfig:
         with pytest.raises(DimensionError):
             HilbertConfig(nm, np_)
 
+    @pytest.mark.parametrize("nm,np_", [(3.0, 3), (3, 4.0), (float("nan"), 3)])
+    def test_rejects_non_integer(self, nm, np_):
+        with pytest.raises(DimensionError, match="integers"):
+            HilbertConfig(nm, np_)
+
+    def test_accepts_numpy_integers(self):
+        cfg = HilbertConfig(np.int64(3), np.int32(4))
+        assert cfg == HilbertConfig(3, 4) and cfg.dim == 12
+
     def test_basis_index_bounds(self):
         cfg = HilbertConfig(3, 4)
         assert cfg.basis_index(2, 3) == 11

@@ -26,7 +26,8 @@ from spinpb import (
     steady_amplitudes,
     steady_state,
 )
-from spinpb.lindblad import DensityMatrix, evolve, unvectorize, vectorize
+from spinpb.lindblad import (DensityMatrix, _split_systems, evolve, unvectorize,
+                             vectorize)
 from spinpb.operators import annihilation, embed_ops
 from spinpb.sweep import _write_csv
 from conftest import GAMMA, J, OMEGA_B, random_density
@@ -73,7 +74,12 @@ def test_liouvillian_matches_textbook_master_equation(params):
         basis = np.zeros(dim**2, dtype=complex)
         basis[col] = 1.0
         textbook[:, col] = vectorize(master_equation(unvectorize(basis, dim)))
-    L = build_liouvillian(params, cfg).matrix
+    liou = build_liouvillian(params, cfg)
+    # the pattern holds every trace-row position (explicit zeros where L has
+    # no entry), and the dense matrix is still the textbook one
+    columns = np.repeat(np.arange(dim**2), np.diff(liou.generator.indptr))
+    assert set(range(0, dim**2, dim + 1)) <= set(columns[liou.generator.indices == 0])
+    L = liou.matrix
     assert np.max(np.abs(L - textbook)) <= 1e-14 * np.max(np.abs(L))
 
 
@@ -88,6 +94,11 @@ def test_sparse_steady_state_matches_dense_solve(params, e, n_magnon, n_photon):
     system = liou.matrix
     system[0, :] = 0.0
     system[0, ::cfg.dim + 1] = 1.0
+    # the sparse system is a mask of L: the dense one entry for entry, with
+    # only the dim trace entries stored in row 0
+    masked, _ = _split_systems(liou)
+    np.testing.assert_array_equal(masked.toarray(), system)
+    assert np.count_nonzero(masked.indices == 0) == cfg.dim
     rhs = np.zeros(cfg.dim**2, dtype=complex)
     rhs[0] = 1.0
     rho = unvectorize(np.linalg.solve(system, rhs), cfg.dim)
