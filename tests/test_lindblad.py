@@ -8,6 +8,7 @@ construction independently of the amplitude solver.
 
 import json
 import math
+import time
 import tracemalloc
 from importlib import resources
 
@@ -92,6 +93,30 @@ FLOOR_CASES = [pytest.param("fig2a", delta, noise, 5, id=f"noise{i}-{delta}")
     pytest.param(panel, delta, noise, size, id=f"{panel}-noise{i}-{size}x{size}")
     for size in (5, 6) for panel, delta in PANEL_DELTA.items()
     for i, noise in enumerate(NOISES) if (panel, size) != ("fig2a", 5)]
+
+
+def record_fallbacks(monkeypatch) -> list[int]:
+    """Count the sector sweeps; returns the count at each direct solve.
+
+    Every ``splu`` factor counts its solves, and each ``_direct_solve``
+    call appends the count so far: the sweeps run before the fallback.
+    """
+    solves, sweeps_at_fallback = [], []
+    splu = scipy.sparse.linalg.splu
+
+    class CountingLU:
+        def __init__(self, matrix):
+            self.lu = splu(matrix)
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    direct_solve = lindblad._direct_solve
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+    monkeypatch.setattr(lindblad, "_direct_solve", lambda *args: (
+        sweeps_at_fallback.append(len(solves)) or direct_solve(*args)))
+    return sweeps_at_fallback
 
 
 def fock_photon_density(cfg: HilbertConfig, n: int) -> DensityMatrix:
@@ -259,27 +284,31 @@ class TestSteadyState:
         # at E = 1e200 rad/s the sweep step turns NaN by the third sweep;
         # a NaN fails every comparison, so it must count as divergence
         # rather than run out the sweep limit
-        solves, sweeps_at_fallback = [], []
-        splu = scipy.sparse.linalg.splu
-
-        class CountingLU:
-            def __init__(self, matrix):
-                self.lu = splu(matrix)
-
-            def solve(self, rhs):
-                solves.append(1)
-                return self.lu.solve(rhs)
-
-        direct_solve = lindblad._direct_solve
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
-        monkeypatch.setattr(lindblad, "_direct_solve", lambda *args: (
-            sweeps_at_fallback.append(len(solves)) or direct_solve(*args)))
+        sweeps_at_fallback = record_fallbacks(monkeypatch)
         liou = build_liouvillian(preset_point("fig2a", -0.684495).replace(E=1e200),
                                  HilbertConfig(5, 5))
         with pytest.raises(SolverError):
             steady_state(liou)
         assert len(sweeps_at_fallback) == 1
         assert 1 <= sweeps_at_fallback[0] <= 3
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_stalled_sweeps_fall_back_early(self, monkeypatch, size):
+        # at the exact fig2c pair (m_th = gamma_p = 0) four coherences keep
+        # steps of about 1e-22, a rounding floor, and never meet the stop
+        # rule; the sweeps must give up once their largest unsettled step
+        # stops halving (sweep 21 at 5x5, 23 at 6x6), not after 100 sweeps,
+        # and the state is the direct solve's, bit for bit
+        liou = build_liouvillian(preset_point("fig2c", 0.679535),
+                                 HilbertConfig(size, size))
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_sector_sweeps", lambda *args: None)
+            direct = steady_state(liou)
+        sweeps_at_fallback = record_fallbacks(monkeypatch)
+        rho = steady_state(liou)
+        assert len(sweeps_at_fallback) == 1
+        assert sweeps_at_fallback[0] <= 25
+        np.testing.assert_array_equal(rho.data, direct.data)
 
     @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
     def test_sector_block_is_drive_free_system(self, working_params, n_magnon,
@@ -447,6 +476,33 @@ class TestEvolve:
             with pytest.raises(SolverError, match="not PSD"):
                 evolve(liou, DensityMatrix(bad), t)
 
+    def test_long_step_matches_matrix_exponential(self, working_params):
+        # one step far past |A t|_1 = 63.4, where scipy's expm_multiply would
+        # refine its Taylor degree from norm estimates and this one does not
+        from scipy.linalg import expm
+
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B)
+        cfg = HilbertConfig(3, 3)
+        liou = build_liouvillian(p, cfg)
+        t = 30.0 / p.gamma
+        shifted = liou.matrix - np.trace(liou.matrix) / cfg.dim**2 * np.eye(cfg.dim**2)
+        assert np.abs(shifted).sum(axis=0).max() * t > 63.4
+        vacuum = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+        vacuum[0, 0] = 1.0
+        exact = unvectorize(expm(liou.matrix * t) @ vectorize(vacuum), cfg.dim)
+        rho_t = evolve(liou, DensityMatrix(vacuum), t)
+        assert np.max(np.abs(rho_t.data - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+    def test_step_past_substep_limit_is_solver_error(self, cfg55):
+        # 1e200 s needs more than 2^63 Taylor substeps: refused up front,
+        # not run for ever
+        liou = build_liouvillian(unit_params(), cfg55)
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="2\\^63 substeps"):
+            evolve(liou, fock_photon_density(cfg55, 1), 1e200)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_time(self, cfg55, t):
         # an input error, raised before any propagation (and its warnings)
@@ -506,6 +562,31 @@ class TestG2Tau:
         assert [t for t, _g in trace] == sorted(taus)
         for tau, value in trace:
             assert abs(value - exact[tau]) <= 1e-10 * exact[tau], f"tau = {tau:.3e}"
+
+    def test_long_delay_matches_matrix_exponential(self, working_params, cfg55):
+        # one 6 us step, |A tau|_1 about 4e3, far past condition 3.13
+        from scipy.linalg import expm
+
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B)
+        liou = build_liouvillian(p, cfg55)
+        rho = steady_state(liou).data
+        ops = embed_ops(cfg55)
+        n_ss = np.real(np.trace(ops.n_a @ rho))
+        sigma = expm(liou.matrix * 6e-6) @ vectorize(ops.a @ rho @ ops.a_dag)
+        exact = np.real(np.trace(ops.n_a @ unvectorize(sigma, cfg55.dim))) / n_ss**2
+        ((_tau, value),) = g2_tau(p, cfg55, [6e-6])
+        assert abs(value - exact) <= 1e-10 * exact
+
+    def test_zero_and_repeated_delays_are_exact(self, working_params, cfg55):
+        # a zero step returns the vector it was given, bit for bit
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B)
+        liou = build_liouvillian(p, cfg55)
+        vec = vectorize(random_density(np.random.default_rng(3), cfg55.dim).data)
+        at_zero, once, again = lindblad._propagate(liou, vec, [0.0, 2e-7, 2e-7])
+        assert np.array_equal(at_zero, vec)
+        assert np.array_equal(again, once)
 
     def test_vacuum_has_no_correlations(self, cfg55):
         with pytest.raises(UndefinedCorrelationError):
