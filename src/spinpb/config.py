@@ -21,6 +21,8 @@ import math
 from dataclasses import MISSING, fields
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ConfigError
 from .model import SystemParams
 from .operators import HilbertConfig
@@ -117,9 +119,21 @@ def hilbert_from_dict(raw: dict | None) -> HilbertConfig:
         "truncation"))
 
 
+def json_default(value: Any) -> Any:
+    """``default`` hook of the JSON writers: a numpy scalar as its Python value.
+
+    So a run given numpy integers (``HilbertConfig`` accepts them) hashes
+    and records the same JSON as one given Python numbers.
+    """
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic serialization used for config hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=json_default)
 
 
 def config_hash(obj: Any) -> str:

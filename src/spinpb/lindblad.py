@@ -30,9 +30,11 @@ Two-time correlations use the regression property: the conditional operator
 a rho_ss a+ is propagated by the same generator as rho itself.  The generator
 is constant, so propagation is the exact matrix exponential exp(L t) applied
 to a vector, by the truncated Taylor method of Al-Mohy and Higham (2011)
-written here: L is shifted by tr(L)/n and its 1-norm taken once per call,
-and each step is a run of sparse matrix-vector products whose count is set
-by |L| times the step, stopped early at the unit roundoff.
+written here as one loop (``_propagate``): L is shifted by tr(L)/n to A and
+A's 1-norm taken once per call; a step h is ceil(|A h|_1 / 9.9) substeps of
+at most 55 sparse matrix-vector products, stopped early at the unit
+roundoff.  The loop yields each state as it reaches it and keeps none, so
+a delay grid of any length costs the memory of one step.
 
 scipy is imported inside the functions that use it, so importing the package
 (and the CLI's parse-only commands) does not load it.
@@ -59,7 +61,9 @@ from .model import SystemParams, _coefficients, _terms, build_hamiltonian  # noq
 from .operators import HilbertConfig, embed_ops
 
 if TYPE_CHECKING:
-    from scipy.sparse import csc_array, csr_array
+    from collections.abc import Iterator
+
+    from scipy.sparse import csc_array
 
 _MAX_SUPER_DIM = 10_000       # refuse Liouvillians larger than this (dim^2)
 _HERMITICITY_TOL = 1e-10
@@ -72,19 +76,9 @@ _STALL_SWEEPS = 10            # sweeps without halving the largest unsettled ste
 _SWEEP_RTOL = 1e-10           # entrywise stopping rule of the sweeps:
 _SWEEP_ATOL = 1e-30           # |dx_i| <= RTOL |x_i| + ATOL max|x|
 _UNIT_ROUNDOFF = 2.0**-53     # tolerance of the Taylor propagator
-_MAX_SUBSTEPS = 2.0**63       # longest propagation step, in substeps at m = 55
-# theta_m: the largest |A h|_1 / s at which m Taylor terms keep the backward
-# error below 2^-53 (Al-Mohy and Higham 2011, Table 3.1; m <= 30 from Higham,
-# Functions of Matrices, Table A.3)
-_TAYLOR_THETA = {
-    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
-    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
-    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
-    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
-    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
-    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
-}
+_TAYLOR_TERMS = 55            # most Taylor terms per substep
+_THETA_55 = 9.9               # largest |A h / s|_1 for 55 terms at 2^-53
+_MAX_SUBSTEPS = 2.0**63       # longest propagation step, in substeps
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -351,15 +345,22 @@ def _checked_times(times) -> np.ndarray:
 
 
 def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
-               times) -> list[np.ndarray]:
-    """exp(L t) vec at each of the ascending times ``times``.
+               times) -> Iterator[np.ndarray]:
+    """Yield exp(L t) vec at each of the ascending times ``times`` in turn.
 
     The truncated Taylor method of Al-Mohy and Higham, SIAM J. Sci. Comput.
-    33, 488 (2011), at the unit roundoff 2^-53 (``_taylor_step``).  L is
-    shifted once per call to A = L - mu I, mu = tr(L)/n, stored as CSR, and
-    A's exact 1-norm is taken once; each step from one time to the next
-    then costs only sparse matrix-vector products.  A zero step returns the
-    vector unchanged.
+    33, 488 (2011), at the unit roundoff 2^-53.  L is shifted once per call
+    to A = L - mu I, mu = tr(L)/n, stored as CSR, and A's exact 1-norm is
+    taken once.  A step h from one time to the next is s = ceil(|A h|_1 /
+    9.9) substeps of at most 55 terms v <- (h / (s (j + 1))) A v, so
+    |A h / s|_1 <= theta_55 = 9.9 (the paper's Table 3.1) bounds the
+    backward error; a substep stops once the last two terms together fall
+    below 2^-53 of the sum, then multiplies the sum by exp(h mu / s).
+
+    A zero step yields the vector it was given.  A step of more than 2^63
+    substeps, or a NaN one, raises ``SolverError`` before its work: the
+    loop cannot overflow, it would only run for ever.  Each state is
+    yielded as it is reached and none is kept.
     """
     from scipy.sparse import eye_array
 
@@ -368,60 +369,36 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     mu = generator.trace() / n
     shifted = (generator - mu * eye_array(n, format="csr")).tocsr()
     norm = float(abs(shifted).sum(axis=0).max())
-    out: list[np.ndarray] = []
     now = 0.0
     for t in times:
-        vec = _taylor_step(shifted, mu, norm, vec, t - now)
-        out.append(vec)
-        now = t
-    return out
-
-
-def _taylor_step(shifted: csr_array, mu: complex, norm: float,
-                 vec: np.ndarray, h: float) -> np.ndarray:
-    """exp((A + mu I) h) vec for A = ``shifted`` with |A|_1 = ``norm``.
-
-    The step is split into s substeps of at most m Taylor terms, with
-    (m, s) minimising m s subject to s = ceil(|A|_1 h / theta_m).  A
-    substep adds the terms v <- (h / (s (j + 1))) A v until the last two
-    together fall below 2^-53 of the sum, then multiplies the sum by
-    exp(h mu / s).  Wherever |A h|_1 <= 63.4 (condition 3.13 of the paper)
-    this is the paper's (m, s).  For longer steps the paper refines it from
-    estimated norms of powers of A; the exact |A|_1 alone may take more
-    terms, but spares the estimates.
-
-    A zero step returns ``vec`` itself.  A step of more than 2^63 substeps
-    at m = 55, or a NaN one, raises ``SolverError`` before any work: the
-    loop cannot overflow, it would only run for ever.
-    """
-    if h == 0:
-        return vec
-    size = norm * h
-    if not size / _TAYLOR_THETA[55] <= _MAX_SUBSTEPS:   # inf and NaN fail
-        raise SolverError(
-            f"propagation by {h:.3g} s needs more than 2^63 substeps"
-            f" (|L - mu I|_1 h = {size:.3g})")
-    m, s = min(((m, max(1, math.ceil(size / theta)))
-                for m, theta in _TAYLOR_THETA.items()),
-               key=lambda ms: ms[0] * ms[1])
-    eta = np.exp(h * mu / s)
-    total = vec.astype(complex)
-    for _ in range(s):
-        term = total
-        previous = bound = np.abs(term).max()
-        for j in range(m):
-            term = shifted @ term
-            term *= h / (s * (j + 1))
-            current = np.abs(term).max()
-            total += term
-            # bound >= max|total|, so that norm is taken only near the stop
-            bound += current
-            if (previous + current <= _UNIT_ROUNDOFF * bound
-                    and previous + current <= _UNIT_ROUNDOFF * np.abs(total).max()):
-                break
-            previous = current
-        total *= eta
-    return total
+        h, now = t - now, t
+        if h == 0:
+            yield vec
+            continue
+        substeps = norm * h / _THETA_55
+        if not substeps <= _MAX_SUBSTEPS:   # inf and NaN fail
+            raise SolverError(
+                f"propagation by {h:.3g} s needs more than 2^63 substeps"
+                f" (|L - mu I|_1 h = {norm * h:.3g})")
+        s = max(1, math.ceil(substeps))
+        eta = np.exp(h * mu / s)
+        vec = vec.astype(complex)
+        for _ in range(s):
+            term = vec
+            previous = bound = np.abs(term).max()
+            for j in range(_TAYLOR_TERMS):
+                term = shifted @ term
+                term *= h / (s * (j + 1))
+                current = np.abs(term).max()
+                vec += term
+                # bound >= max|vec|, so that norm is taken only near the stop
+                bound += current
+                if (previous + current <= _UNIT_ROUNDOFF * bound
+                        and previous + current <= _UNIT_ROUNDOFF * np.abs(vec).max()):
+                    break
+                previous = current
+            vec *= eta
+        yield vec
 
 
 def evolve(liouvillian: Liouvillian, rho0: DensityMatrix,

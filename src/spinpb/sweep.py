@@ -30,6 +30,7 @@ from .config import (
     _string,
     config_hash,
     hilbert_from_dict,
+    json_default,
     params_from_dict,
     params_reduced_dict,
     resolve_unit,
@@ -124,7 +125,7 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2)
+            json.dump(self.__dict__, fh, indent=2, default=json_default)
             fh.write("\n")
 
 

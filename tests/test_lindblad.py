@@ -528,12 +528,17 @@ class TestG2Tau:
         assert all(v > values[0] for v in values[1:])
         assert abs(values[-1] - 1.0) < 0.01   # ~coherent by 3.5 us
 
-    @pytest.mark.parametrize("grid", ["linear", "log"])
+    @pytest.mark.parametrize("grid", ["linear", "log", "step-30", "step-1e-3",
+                                      "log-steps"])
     def test_matches_matrix_exponential(self, working_params, cfg55, grid):
         """Every delay within 1e-10 of expm(L tau) vec(a rho_ss a+).
 
         The conditional state has entries near 2.5e-5, far below the
-        absolute tolerance an adaptive integrator would be given.
+        absolute tolerance an adaptive integrator would be given.  The last
+        three grids are set by the steps' |A h|_1: 29.85, four substeps of
+        at most 55 terms where the cheapest (m, s) of the paper's table is
+        five of 40; 1e-3, one substep that stops after a few terms; and
+        log-spaced steps from one to the other.
         """
         from scipy.linalg import expm
 
@@ -552,8 +557,15 @@ class TestG2Tau:
                 vecs.append(step @ vecs[-1])
             propagated = dict(zip(taus, vecs))
         else:
-            log = np.geomspace(1e-8, 1.5e-6, 6)
-            taus = np.concatenate([[0.0], log, log[2:3]])   # 0 and a repeat
+            if grid == "log":
+                log = np.geomspace(1e-8, 1.5e-6, 6)
+                taus = np.concatenate([[0.0], log, log[2:3]])   # 0 and a repeat
+            else:
+                L = liou.matrix
+                shifted = L - np.trace(L) / len(L) * np.eye(len(L))
+                sizes = {"step-30": [29.85], "step-1e-3": [1e-3],
+                         "log-steps": np.geomspace(1e-3, 29.85, 8)}[grid]
+                taus = np.cumsum(sizes) / np.abs(shifted).sum(axis=0).max()
             propagated = {tau: expm(liou.matrix * tau) @ sigma
                           for tau in np.unique(taus)}
         exact = {tau: np.real(np.trace(ops.n_a @ unvectorize(vec, cfg55.dim))) / n_ss**2
@@ -577,6 +589,26 @@ class TestG2Tau:
         exact = np.real(np.trace(ops.n_a @ unvectorize(sigma, cfg55.dim))) / n_ss**2
         ((_tau, value),) = g2_tau(p, cfg55, [6e-6])
         assert abs(value - exact) <= 1e-10 * exact
+
+    def test_propagation_keeps_no_state(self, working_params, cfg55):
+        # 401 delays, each state dropped once read: the traced peak stays
+        # below 100 states, where holding all 401 takes 4 MB
+        p = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                   Lambda=2.46157e-6 * OMEGA_B)
+        liou = build_liouvillian(p, cfg55)
+        rho = steady_state(liou).data
+        ops = embed_ops(cfg55)
+        sigma = vectorize(ops.a @ rho @ ops.a_dag)
+        taus = np.linspace(0.0, 6e-6, 401)
+        tracemalloc.start()
+        try:
+            largest = max(np.abs(v).max()
+                          for v in lindblad._propagate(liou, sigma, taus))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < largest < np.inf
+        assert peak < 100 * sigma.nbytes
 
     def test_zero_and_repeated_delays_are_exact(self, working_params, cfg55):
         # a zero step returns the vector it was given, bit for bit

@@ -437,6 +437,27 @@ class TestConfigHash:
         assert run_g2tau(p, HilbertConfig(4, 3), 1e-6, 2, out).config_hash \
             not in hashes
 
+    @pytest.mark.parametrize("given", ["g2tau-cfg", "g2tau-points", "axis-points"])
+    def test_numpy_integers_hash_as_python_ints(self, tmp_path, given):
+        """numpy integer inputs write the manifest of the Python-int run.
+
+        The CSV is written before the manifest, so a numpy integer that the
+        JSON writers refuse would leave a CSV without its manifest.
+        """
+        def run(integer):
+            if given == "axis-points":
+                return run_sweep(small_analytic_spec(tmp_path, points=integer(3)))
+            n = integer(3) if given == "g2tau-cfg" else 3
+            points = integer(2) if given == "g2tau-points" else 2
+            return run_g2tau(cw_base(), HilbertConfig(n, n), 1e-7, points,
+                             tmp_path / "tau.csv")
+
+        expected = run(int)
+        manifest = run(np.int64)
+        out = tmp_path / ("scan.csv" if given == "axis-points" else "tau.csv")
+        written = json.loads(manifest_path_for(out).read_text())
+        assert manifest.config_hash == written["config_hash"] == expected.config_hash
+
 
 class TestRunG2Tau:
     def test_trace_csv(self, tmp_path, cfg55):
