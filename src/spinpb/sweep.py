@@ -177,8 +177,11 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     The grid has one dimension per axis and is filled one ``_line`` at a time
     (see ``_lines``): one array-valued solve per line for g2_analytic, one
     delay trace for g2_tau, one steady state per point for g2_numeric and
-    mandel_q.  A line that fails is redone one value at a time: each failed
-    cell is NaN with one failure record giving every axis's index and value.
+    mandel_q.  A line that fails is redone one value at a time, except a
+    g2_tau line: it keeps the delays its trace reached (``g2_tau``'s error
+    carries them), and the failing delay and every later one fail with it.
+    Each failed cell is NaN with one failure record giving every axis's
+    index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     names, values = [ax.parameter for ax in axes], [ax.values() for ax in axes]
@@ -190,15 +193,24 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     for j, (point, line) in enumerate(zip(points, lines)):
         try:
             line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
-        except SolverError:
-            for i in range(len(line)):
-                try:
-                    line[i] = _line(spec.observable, point, spec.cfg, names[k],
-                                    values[k][i:i + 1])[0]
-                except SolverError as exc:
-                    index = [j] * len(axes)   # the other axis at j, this one at i
-                    index[k] = i
-                    errors.append((tuple(index), f"{type(exc).__name__}: {exc}"))
+        except SolverError as exc:
+            if spec.observable == "g2_tau":
+                # one steady state and one propagation serve the whole line
+                reached = [g for _t, g in getattr(exc, "trace", [])]
+                line[:len(reached)] = reached
+                failed = [(i, exc) for i in range(len(reached), len(line))]
+            else:
+                failed = []
+                for i in range(len(line)):
+                    try:
+                        line[i] = _line(spec.observable, point, spec.cfg, names[k],
+                                        values[k][i:i + 1])[0]
+                    except SolverError as cell_exc:
+                        failed.append((i, cell_exc))
+            for i, error in failed:
+                index = [j] * len(axes)   # the other axis at j, this one at i
+                index[k] = i
+                errors.append((tuple(index), f"{type(error).__name__}: {error}"))
     failures = []
     for index, error in sorted(errors):   # row-major, as the CSV
         record = {}

@@ -503,6 +503,19 @@ class TestEvolve:
             evolve(liou, fock_photon_density(cfg55, 1), 1e200)
         assert time.perf_counter() - start < 1.0
 
+    def test_rejects_non_hermitian_state(self, monkeypatch, cfg55):
+        # the propagation keeps only the Hermitian part, so an input with an
+        # anti-Hermitian part is refused before any work
+        monkeypatch.setattr(lindblad, "_propagate", None)
+        liou = build_liouvillian(unit_params(), cfg55)
+        rho = fock_photon_density(cfg55, 1).data.copy()
+        rho[0, 1] = 1e-9j
+        with pytest.raises(ConfigError, match="not Hermitian"):
+            evolve(liou, DensityMatrix(rho), 0.1)
+        rho[1, 0] = -1e-9j                   # Hermitian again: accepted
+        monkeypatch.undo()
+        assert np.array_equal(evolve(liou, DensityMatrix(rho), 0.0).data, rho)
+
     @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
     def test_rejects_bad_time(self, cfg55, t):
         # an input error, raised before any propagation (and its warnings)
@@ -528,28 +541,34 @@ class TestG2Tau:
         assert all(v > values[0] for v in values[1:])
         assert abs(values[-1] - 1.0) < 0.01   # ~coherent by 3.5 us
 
-    @pytest.mark.parametrize("grid", ["linear", "log", "step-30", "step-1e-3",
-                                      "log-steps"])
+    @pytest.mark.parametrize("grid", ["linear", "linear-6x6", "linear-noisy",
+                                      "log", "step-30", "step-1e-3", "log-steps"])
     def test_matches_matrix_exponential(self, working_params, cfg55, grid):
         """Every delay within 1e-10 of expm(L tau) vec(a rho_ss a+).
 
         The conditional state has entries near 2.5e-5, far below the
-        absolute tolerance an adaptive integrator would be given.  The last
-        three grids are set by the steps' |A h|_1: 29.85, four substeps of
-        at most 55 terms where the cheapest (m, s) of the paper's table is
-        five of 40; 1e-3, one substep that stops after a few terms; and
-        log-spaced steps from one to the other.
+        absolute tolerance an adaptive integrator would be given.  The
+        linear grid runs at 5x5, at 6x6, and with a thermal magnon bath,
+        cavity dephasing and a pair-source phase, so that every generator
+        term enters the real frame.  The last three grids are set by the
+        steps' |A h|_1: 29.85, four substeps of at most 55 terms where the
+        cheapest (m, s) of the paper's table is five of 40; 1e-3, one
+        substep that stops after a few terms; and log-spaced steps from one
+        to the other.
         """
         from scipy.linalg import expm
 
         p = working_params.replace(delta=-0.684495 * OMEGA_B,
                                    Lambda=2.46157e-6 * OMEGA_B)
-        liou = build_liouvillian(p, cfg55)
+        if grid == "linear-noisy":
+            p = p.replace(m_th=0.01, gamma_p=0.01 * GAMMA, beta=0.7)
+        cfg = HilbertConfig(6, 6) if grid == "linear-6x6" else cfg55
+        liou = build_liouvillian(p, cfg)
         rho = steady_state(liou).data
-        ops = embed_ops(cfg55)
+        ops = embed_ops(cfg)
         n_ss = np.real(np.trace(ops.n_a @ rho))
         sigma = vectorize(ops.a @ rho @ ops.a_dag)
-        if grid == "linear":
+        if grid.startswith("linear"):
             taus = np.linspace(0.0, 1.5e-6, 41)
             step = expm(liou.matrix * taus[1])
             vecs = [sigma]
@@ -568,9 +587,9 @@ class TestG2Tau:
                 taus = np.cumsum(sizes) / np.abs(shifted).sum(axis=0).max()
             propagated = {tau: expm(liou.matrix * tau) @ sigma
                           for tau in np.unique(taus)}
-        exact = {tau: np.real(np.trace(ops.n_a @ unvectorize(vec, cfg55.dim))) / n_ss**2
+        exact = {tau: np.real(np.trace(ops.n_a @ unvectorize(vec, cfg.dim))) / n_ss**2
                  for tau, vec in propagated.items()}
-        trace = g2_tau(p, cfg55, taus)
+        trace = g2_tau(p, cfg, taus)
         assert [t for t, _g in trace] == sorted(taus)
         for tau, value in trace:
             assert abs(value - exact[tau]) <= 1e-10 * exact[tau], f"tau = {tau:.3e}"

@@ -3,7 +3,8 @@
 Each property is an independent oracle for one engine: the Liouvillian
 against the textbook master equation applied to each basis matrix, the
 sparse steady state against a dense solve of the same system, exact
-propagation against the dense matrix exponential, the optimal-pair search
+propagation against the dense matrix exponential, the real frame of the
+propagation against its defining identities, the optimal-pair search
 against the amplitude it claims to cancel, the array-valued amplitude
 engine against its own scalar evaluation, bit for bit, and the CSV writer
 against per-value ``format``.  Examples are few and derandomized so the suite
@@ -26,8 +27,8 @@ from spinpb import (
     steady_amplitudes,
     steady_state,
 )
-from spinpb.lindblad import (DensityMatrix, _split_systems, evolve, unvectorize,
-                             vectorize)
+from spinpb.lindblad import (DensityMatrix, _hermitian_frame, _split_systems,
+                             evolve, unvectorize, vectorize)
 from spinpb.operators import annihilation, embed_ops
 from spinpb.sweep import _write_csv
 from conftest import GAMMA, J, OMEGA_B, random_density
@@ -122,6 +123,24 @@ def test_evolve_matches_matrix_exponential(params, t, seed):
     exact = unvectorize(expm(liou.matrix * t) @ vectorize(rho0.data), cfg.dim)
     assert np.max(np.abs(rho_t.data - exact)) <= 1e-10
     rho_t.validate()
+
+
+@FEW
+@given(params=weak_drive_params,
+       sizes=st.sampled_from([(m, n) for m in range(3, 7) for n in range(3, 7)
+                              if m != n]),
+       seed=st.integers(0, 2**32 - 1))
+def test_hermitian_frame_makes_liouvillian_real(params, sizes, seed):
+    # Q L P is real, so propagating real coordinates loses nothing, and P Q
+    # is the identity on density matrices
+    cfg = HilbertConfig(*sizes)
+    liou = build_liouvillian(params, cfg)
+    to_matrix, to_frame = _hermitian_frame(cfg.dim)
+    real_frame = (to_frame @ liou.generator @ to_matrix).toarray()
+    norm = np.abs(liou.matrix).sum(axis=0).max()
+    assert np.abs(real_frame.imag).max() <= 1e-14 * norm
+    rho = vectorize(random_density(np.random.default_rng(seed), cfg.dim).data)
+    assert np.abs(to_matrix @ (to_frame @ rho) - rho).max() <= 1e-15
 
 
 @FEW

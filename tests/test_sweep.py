@@ -25,7 +25,8 @@ from spinpb import (
     steady_state,
 )
 from spinpb.config import config_hash, params_from_dict
-from spinpb.sweep import manifest_path_for, sweep_spec_from_dict
+import spinpb.lindblad as lindblad
+from spinpb.sweep import _grid_results, manifest_path_for, sweep_spec_from_dict
 from conftest import GAMMA, J, OMEGA_B
 
 
@@ -262,6 +263,29 @@ class TestRunSweep:
         e_col = 1 if tau_first else 0
         assert all((row[2] == "nan") == (float(row[e_col]) == 0.0)
                    for row in rows)
+
+    def test_failed_tau_line_solves_one_steady_state(self, tmp_path, monkeypatch):
+        # delays 1e-45, 1e-26, 1e-7, 1e12 and 1e31 s: the steps to the last
+        # two need more than 2^63 Taylor substeps.  The line's one steady
+        # state and the delays reached before the failure are kept.
+        solves = []
+        solve = lindblad.steady_state
+        monkeypatch.setattr(lindblad, "steady_state",
+                            lambda liou: solves.append(liou) or solve(liou))
+        spec = SweepSpec(axis1=AxisSpec("tau", 1e-45, 1e31, 5, "log"),
+                         observable="g2_tau",
+                         base=cw_base().replace(delta=-0.684495 * OMEGA_B),
+                         cfg=HilbertConfig(3, 3),
+                         output_path=str(tmp_path / "tau.csv"))
+        _names, (taus,), grid, failures = _grid_results(spec)
+        assert len(solves) == 1
+        assert np.all(np.isfinite(grid[:3])) and np.all(np.isnan(grid[3:]))
+        monkeypatch.undo()
+        assert list(grid[:3]) == [g for _t, g in g2_tau(spec.base, spec.cfg, taus[:3])]
+        assert [{k: v for k, v in f.items() if k != "error"} for f in failures] == [
+            {"axis1_index": i, "tau": float(taus[i])} for i in (3, 4)]
+        assert all(f["error"].startswith("SolverError: propagation by")
+                   and "2^63 substeps" in f["error"] for f in failures)
 
     @pytest.mark.parametrize("layout", ["1-D", "E first", "E second"])
     @pytest.mark.parametrize("observable", ["g2_analytic", "g2_numeric",
