@@ -7,14 +7,13 @@ correlations), plus a sweep CLI that writes CSV results with provenance
 manifests.
 
 The package root exports what a sweep or a paper figure needs.  Result
-types, ``evolve`` and the ``SolverError`` subclasses live in their modules
+types and the ``SolverError`` subclasses live in their modules
 (``spinpb.analytic``, ``spinpb.lindblad``, ``spinpb.errors``, ...).
 """
 
 __version__ = "0.1.0"
 
 from .analytic import (
-    evolve_amplitudes,
     find_optimal_pairs,
     g2_analytic,
     steady_amplitudes,
@@ -44,7 +43,6 @@ __all__ = [
     "build_hamiltonian",
     "build_liouvillian",
     "effective_kerr",
-    "evolve_amplitudes",
     "find_optimal_pairs",
     "g2_analytic",
     "g2_tau",

@@ -1,4 +1,4 @@
-"""Steady-state two-excitation amplitudes, interference optima, and dynamics.
+"""Steady-state two-excitation amplitudes and interference optima.
 
 In the weak-drive limit the system state stays inside the subspace spanned
 by |m, n> with m + n <= 2.  The six amplitudes obey a closed linear ODE
@@ -22,7 +22,6 @@ scipy is imported inside the functions that use it, so importing the package
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,32 +184,3 @@ def _coefficient_matrix(params: SystemParams) -> np.ndarray:
     """
     weights = _coefficients(params, hermitian=False)
     return (weights @ _BLOCK_TERMS).reshape(*weights.shape[:-1], 6, 6)
-
-
-def evolve_amplitudes(params: SystemParams, t_final: float,
-                      dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate the full six-amplitude system from the vacuum state.
-
-    Applies the exact one-sample propagator exp(-i M dt) of dC/dt = -i M C
-    with C(0) = (1, 0, 0, 0, 0, 0); dt is only the sampling interval.
-    Returns the sample times and the states, an (n_steps + 1, 6) complex
-    array in amplitude order (c00, c10, c01, c11, c02, c20), row 0 at t = 0.
-
-    Because the generator is non-Hermitian the norm (and c00 itself) decays
-    slowly; states converge to ``steady_amplitudes`` in the c00 = 1 gauge,
-    i.e. after dividing each state by its c00.
-    """
-    from scipy.linalg import expm
-
-    if not (0 < dt < math.inf and 0 < t_final < math.inf
-            and t_final / dt < math.inf):   # NaN fails too
-        raise ConfigError("dt, t_final and t_final / dt must be positive and"
-                          f" finite, got t_final = {t_final!r}, dt = {dt!r}")
-    step = expm(-1j * dt * _coefficient_matrix(params))
-    n_steps = int(round(t_final / dt))
-    times = np.arange(n_steps + 1) * dt
-    states = np.zeros((n_steps + 1, 6), dtype=complex)
-    states[0, 0] = 1.0
-    for k in range(n_steps):
-        states[k + 1] = step @ states[k]
-    return times, states

@@ -1,6 +1,6 @@
-"""Open-system numerics: Liouvillian, steady state, correlations, dynamics.
+"""Open-system numerics: Liouvillian, steady state and correlations.
 
-The master equation evolves the density matrix on the truncated composite
+The master equation drives the density matrix on the truncated composite
 space under the Hermitian reduced Hamiltonian plus Lindblad dissipators:
 zero-temperature photon decay, thermal magnon decay/excitation, and
 optional cavity pure dephasing,
@@ -96,11 +96,6 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-def _hermiticity_deviation(data: np.ndarray) -> float:
-    """max |X - X+|; inf or NaN when an entry of X is."""
-    return np.max(np.abs(data - data.conj().T))
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Trace-one Hermitian PSD matrix on the composite magnon-photon space."""
@@ -114,7 +109,7 @@ class DensityMatrix:
         Hermiticity deviation inf or NaN, so a non-finite matrix fails before
         ``eigvalsh`` sees it.
         """
-        herm_dev = _hermiticity_deviation(self.data)
+        herm_dev = np.max(np.abs(self.data - self.data.conj().T))
         if not herm_dev <= _HERMITICITY_TOL:
             raise SolverError(f"density matrix not Hermitian: dev {herm_dev:.2e}")
         trace_dev = abs(np.trace(self.data) - 1.0)
@@ -376,14 +371,6 @@ def mandel_q(rho: DensityMatrix, cfg: HilbertConfig) -> float:
     return (nn - n**2) / n
 
 
-def _checked_times(times) -> np.ndarray:
-    """``times`` sorted ascending; ``ConfigError`` unless all are finite and >= 0."""
-    out = np.asarray(sorted(float(t) for t in times))
-    if not np.all((out >= 0) & (out < np.inf)):   # NaN fails both
-        raise ConfigError(f"times must be non-negative and finite, got {out}")
-    return out
-
-
 def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
                times) -> Iterator[np.ndarray]:
     """Yield exp(L t) vec at each of the ascending times ``times`` in turn.
@@ -450,26 +437,6 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
         yield vec
 
 
-def evolve(liouvillian: Liouvillian, rho0: DensityMatrix,
-           t_final: float) -> DensityMatrix:
-    """Propagate rho0 for t_final seconds by the exact exp(L t_final).
-
-    rho0 must be Hermitian to the tolerance of ``DensityMatrix.validate``
-    and t_final finite and >= 0 (``ConfigError``, before any work): the
-    propagation runs on Hermitian matrices only.  The result is validated
-    as a density matrix (``SolverError`` if it is not one, e.g. when rho0
-    was not positive semidefinite).
-    """
-    herm_dev = _hermiticity_deviation(rho0.data)
-    if not herm_dev <= _HERMITICITY_TOL:
-        raise ConfigError(f"rho0 not Hermitian: dev {herm_dev:.2e}")
-    (vec,) = _propagate(liouvillian, vectorize(rho0.data),
-                        _checked_times([t_final]))
-    state = DensityMatrix(unvectorize(vec, liouvillian.dim))
-    state.validate()
-    return state
-
-
 def g2_tau(params: SystemParams, cfg: HilbertConfig,
            tau_grid) -> list[tuple[float, float]]:
     """Delayed coincidence g2(tau) on a grid of delays (seconds).
@@ -481,7 +448,9 @@ def g2_tau(params: SystemParams, cfg: HilbertConfig,
     propagating carries the (tau, g2) pairs of the delays before the failing
     one as its ``trace``, so a caller keeps them without a second solve.
     """
-    taus = _checked_times(tau_grid)
+    taus = np.asarray(sorted(float(t) for t in tau_grid))
+    if not np.all((taus >= 0) & (taus < np.inf)):   # NaN fails both
+        raise ConfigError(f"delays must be non-negative and finite, got {taus}")
     if taus.size == 0:
         return []
     liouvillian = build_liouvillian(params, cfg)

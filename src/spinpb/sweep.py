@@ -174,11 +174,12 @@ def _lines(base: SystemParams, names: list[str], values: list) -> tuple[int, lis
 def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     """Evaluate the grid; returns (axis names, axis values, grid, failures).
 
-    The grid has one dimension per axis and is filled one ``_line`` at a time
+    The grid has one dimension per axis and is filled one line at a time
     (see ``_lines``): one array-valued solve per line for g2_analytic, one
-    delay trace for g2_tau, one steady state per point for g2_numeric and
-    mandel_q.  A line that fails is redone one value at a time, except a
-    g2_tau line: it keeps the delays its trace reached (``g2_tau``'s error
+    delay trace for g2_tau, and one steady state per cell, each its own
+    ``_line`` call, for g2_numeric and mandel_q, so a failed cell costs no
+    other.  A g2_analytic line that fails is redone one value at a time.  A
+    g2_tau line keeps the delays its trace reached (``g2_tau``'s error
     carries them), and the failing delay and every later one fail with it.
     Each failed cell is NaN with one failure record giving every axis's
     index and value.
@@ -191,26 +192,28 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     # row j is a view of the line at index j of the other axis
     lines = np.moveaxis(grid, k, -1).reshape(-1, len(values[k]))
     for j, (point, line) in enumerate(zip(points, lines)):
-        try:
-            line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
-        except SolverError as exc:
-            if spec.observable == "g2_tau":
-                # one steady state and one propagation serve the whole line
-                reached = [g for _t, g in getattr(exc, "trace", [])]
-                line[:len(reached)] = reached
-                failed = [(i, exc) for i in range(len(reached), len(line))]
-            else:
-                failed = []
-                for i in range(len(line)):
-                    try:
-                        line[i] = _line(spec.observable, point, spec.cfg, names[k],
-                                        values[k][i:i + 1])[0]
-                    except SolverError as cell_exc:
-                        failed.append((i, cell_exc))
-            for i, error in failed:
-                index = [j] * len(axes)   # the other axis at j, this one at i
-                index[k] = i
-                errors.append((tuple(index), f"{type(error).__name__}: {error}"))
+        cells, failed = range(len(line)), []   # g2_numeric, mandel_q: cell by cell
+        if spec.observable in ("g2_analytic", "g2_tau"):
+            try:
+                line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
+                cells = []
+            except SolverError as exc:
+                if spec.observable == "g2_tau":
+                    # one steady state and one propagation serve the whole line
+                    reached = [g for _t, g in getattr(exc, "trace", [])]
+                    line[:len(reached)] = reached
+                    cells = []
+                    failed = [(i, exc) for i in range(len(reached), len(line))]
+        for i in cells:
+            try:
+                line[i] = _line(spec.observable, point, spec.cfg, names[k],
+                                values[k][i:i + 1])[0]
+            except SolverError as cell_exc:
+                failed.append((i, cell_exc))
+        for i, error in failed:
+            index = [j] * len(axes)   # the other axis at j, this one at i
+            index[k] = i
+            errors.append((tuple(index), f"{type(error).__name__}: {error}"))
     failures = []
     for index, error in sorted(errors):   # row-major, as the CSV
         record = {}

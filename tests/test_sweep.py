@@ -26,6 +26,7 @@ from spinpb import (
 )
 from spinpb.config import config_hash, params_from_dict
 import spinpb.lindblad as lindblad
+import spinpb.sweep as sweep
 from spinpb.sweep import _grid_results, manifest_path_for, sweep_spec_from_dict
 from conftest import GAMMA, J, OMEGA_B
 
@@ -286,6 +287,26 @@ class TestRunSweep:
             {"axis1_index": i, "tau": float(taus[i])} for i in (3, 4)]
         assert all(f["error"].startswith("SolverError: propagation by")
                    and "2^63 substeps" in f["error"] for f in failures)
+
+    @pytest.mark.parametrize("observable", ["g2_numeric", "mandel_q"])
+    def test_failed_line_solves_each_cell_once(self, tmp_path, monkeypatch,
+                                               observable):
+        # without a pair source, E = 0 (the middle of 5 cells) leaves no
+        # photons: that cell fails alone and no other is solved again, so the
+        # line costs 5 steady states, not 3 + 5
+        solves = []
+        solve = sweep.steady_state
+        monkeypatch.setattr(sweep, "steady_state",
+                            lambda liou: solves.append(liou) or solve(liou))
+        spec = SweepSpec(axis1=AxisSpec("E_over_gamma", -0.01, 0.01, 5),
+                         observable=observable, base=cw_base().replace(Lambda=0.0),
+                         cfg=HilbertConfig(3, 3),
+                         output_path=str(tmp_path / "line.csv"))
+        _names, _values, grid, failures = _grid_results(spec)
+        assert len(solves) == 5
+        assert np.isnan(grid[2]) and np.all(np.isfinite(np.delete(grid, 2)))
+        assert [f["axis1_index"] for f in failures] == [2]
+        assert failures[0]["error"].startswith("UndefinedCorrelationError")
 
     @pytest.mark.parametrize("layout", ["1-D", "E first", "E second"])
     @pytest.mark.parametrize("observable", ["g2_analytic", "g2_numeric",
