@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    SingularSystemError,
-    SolverError,
-    UndefinedCorrelationError,
-)
+from .errors import SingularSystemError, SolverError, UndefinedCorrelationError
 from .model import SystemParams, _coefficients, _terms
 from .operators import HilbertConfig
 
@@ -42,7 +37,7 @@ _BLOCK_TERMS = (_terms(HilbertConfig(3, 3)).reshape(7, 9, 9)[:, _BLOCK][:, :, _B
                 .reshape(7, 36))
 
 # optimal-pair search
-_DELTA_RANGE = (-1.0, 1.0)      # default search box, in units of omega_b
+_DELTA_RANGE = (-1.0, 1.0)      # the one search box, in units of omega_b
 _LAMBDA_RANGE = (0.0, 1.0e-5)
 _SCAN_POINTS = 401              # delta samples bracketing the roots
 _RESIDUAL_TOL = 1e-10           # accepted |c02| at a root, relative to |a|
@@ -115,13 +110,11 @@ def g2_analytic(params: SystemParams) -> float | np.ndarray:
     return float(g2) if np.ndim(g2) == 0 else g2
 
 
-def find_optimal_pairs(params: SystemParams,
-                       delta_range: tuple[float, float] = _DELTA_RANGE,
-                       lambda_range: tuple[float, float] = _LAMBDA_RANGE
-                       ) -> list[OptimalPair]:
-    """Locate all real roots of c02(delta, Lambda) = 0 inside a box.
+def find_optimal_pairs(params: SystemParams) -> list[OptimalPair]:
+    """Locate all real roots of c02(delta, Lambda) = 0 inside the search box.
 
-    Ranges are given in units of omega_b.  Lambda enters the hierarchy only
+    The box is |delta| <= omega_b, 0 <= Lambda <= 1e-5 omega_b
+    (``_DELTA_RANGE``, ``_LAMBDA_RANGE``).  Lambda enters the hierarchy only
     through the pair source, so c02 = a(delta) + b(delta) Lambda, with a the
     drive pathway (Lambda = 0) and b the pair pathway per unit Lambda
     (E = 0).  A real root needs Im(a conj(b)) = 0, which is bracketed on a
@@ -133,11 +126,8 @@ def find_optimal_pairs(params: SystemParams,
     from scipy.optimize import brentq
 
     wb = params.omega_b
-    d_lo, d_hi = (r * wb for r in delta_range)
-    l_lo, l_hi = (r * wb for r in lambda_range)
-    if not (d_lo < d_hi and 0.0 <= l_lo < l_hi):
-        raise ConfigError("search box must have min < max on both axes "
-                          "and Lambda >= 0")
+    d_lo, d_hi = (r * wb for r in _DELTA_RANGE)
+    l_lo, l_hi = (r * wb for r in _LAMBDA_RANGE)
 
     def pathways(delta):
         point = params.replace(delta=delta)

@@ -141,10 +141,11 @@ def config_hash(obj: Any) -> str:
 
 
 def load_json(path) -> dict:
+    """JSON from ``path``; a failure to read or decode it is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # bad syntax, bytes, digits; nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc

@@ -373,7 +373,7 @@ def mandel_q(rho: DensityMatrix, cfg: HilbertConfig) -> float:
 
 def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
                times) -> Iterator[np.ndarray]:
-    """Yield exp(L t) vec at each of the ascending times ``times`` in turn.
+    """Yield exp(L t) vec at each time of the ascending sequence ``times`` in turn.
 
     ``vec`` is a column-stacked Hermitian matrix.  L maps those to Hermitian
     matrices, so the propagation runs on the real coordinates x = Q vec of
@@ -392,9 +392,11 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     pick the same entry as max(abs(x)).
 
     A zero step yields the vector it was given (or the state last yielded).
-    A step of more than 2^63 substeps, or a NaN one, raises ``SolverError``
-    before its work: the loop cannot overflow, it would only run for ever.
-    Each state is yielded as it is reached and none is kept.
+    A grid whose last time needs more than 2^63 substeps, or a NaN count,
+    raises ``SolverError`` before any propagation (the loop would not
+    overflow, only run for ever); no step is longer than the last time, and
+    tr L <= 0 keeps exp(h mu / s) finite, so the loop raises nothing.  Each
+    state is yielded as it is reached and none is kept.
     """
     from scipy.linalg.blas import dscal, idamax
     from scipy.sparse import eye_array
@@ -405,6 +407,11 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     mu = generator.trace() / n
     shifted = (generator - mu * eye_array(n, format="csr")).tocsr()
     norm = float(abs(shifted).sum(axis=0).max())
+    last = float(max(times, default=0.0))
+    if not norm * last / _THETA_55 <= _MAX_SUBSTEPS:   # inf and NaN fail
+        raise SolverError(
+            f"propagation by {last:.3g} s needs more than 2^63 substeps"
+            f" (|L - mu I|_1 t = {norm * last:.3g})")
     x = (to_frame @ vec).real.copy()
     now = 0.0
     for t in times:
@@ -412,12 +419,7 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
         if h == 0:
             yield vec
             continue
-        substeps = norm * h / _THETA_55
-        if not substeps <= _MAX_SUBSTEPS:   # inf and NaN fail
-            raise SolverError(
-                f"propagation by {h:.3g} s needs more than 2^63 substeps"
-                f" (|L - mu I|_1 h = {norm * h:.3g})")
-        s = max(1, math.ceil(substeps))
+        s = max(1, math.ceil(norm * h / _THETA_55))
         eta = math.exp(h * mu / s)
         for _ in range(s):
             term = x
@@ -444,9 +446,8 @@ def g2_tau(params: SystemParams, cfg: HilbertConfig,
     Computes the steady state, forms the conditional operator a rho_ss a+,
     propagates it exactly with the master-equation generator, and normalizes
     by the squared steady photon number.  The grid is sorted ascending;
-    delays must be non-negative and finite.  A ``SolverError`` raised while
-    propagating carries the (tau, g2) pairs of the delays before the failing
-    one as its ``trace``, so a caller keeps them without a second solve.
+    delays must be non-negative and finite.  A grid that cannot be
+    propagated raises ``SolverError`` after the steady state, before any delay.
     """
     taus = np.asarray(sorted(float(t) for t in tau_grid))
     if not np.all((taus >= 0) & (taus < np.inf)):   # NaN fails both
@@ -459,11 +460,7 @@ def g2_tau(params: SystemParams, cfg: HilbertConfig,
     ops = embed_ops(cfg)
     sigma = ops.a @ rho_ss.data @ ops.a_dag
     trace = []
-    try:
-        for t, vec in zip(taus, _propagate(liouvillian, vectorize(sigma), taus)):
-            n_t = float(np.real(np.trace(ops.n_a @ unvectorize(vec, cfg.dim))))
-            trace.append((float(t), n_t / n_ss**2))
-    except SolverError as exc:
-        exc.trace = trace
-        raise
+    for t, vec in zip(taus, _propagate(liouvillian, vectorize(sigma), taus)):
+        n_t = float(np.real(np.trace(ops.n_a @ unvectorize(vec, cfg.dim))))
+        trace.append((float(t), n_t / n_ss**2))
     return trace

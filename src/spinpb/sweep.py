@@ -178,11 +178,10 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
     (see ``_lines``): one array-valued solve per line for g2_analytic, one
     delay trace for g2_tau, and one steady state per cell, each its own
     ``_line`` call, for g2_numeric and mandel_q, so a failed cell costs no
-    other.  A g2_analytic line that fails is redone one value at a time.  A
-    g2_tau line keeps the delays its trace reached (``g2_tau``'s error
-    carries them), and the failing delay and every later one fail with it.
-    Each failed cell is NaN with one failure record giving every axis's
-    index and value.
+    other.  A g2_analytic line that fails is redone one value at a time; a
+    g2_tau line that fails (one steady state) fails at every delay.  Each
+    failed cell is NaN with one failure record giving every axis's index and
+    value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     names, values = [ax.parameter for ax in axes], [ax.values() for ax in axes]
@@ -198,12 +197,9 @@ def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
                 line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
                 cells = []
             except SolverError as exc:
-                if spec.observable == "g2_tau":
-                    # one steady state and one propagation serve the whole line
-                    reached = [g for _t, g in getattr(exc, "trace", [])]
-                    line[:len(reached)] = reached
+                if spec.observable == "g2_tau":   # one steady state, one trace: all fail
+                    failed = [(i, exc) for i in cells]
                     cells = []
-                    failed = [(i, exc) for i in range(len(reached), len(line))]
         for i in cells:
             try:
                 line[i] = _line(spec.observable, point, spec.cfg, names[k],
@@ -326,9 +322,9 @@ def run_optimal(params: SystemParams, directions: list[str],
     """Root-search per drive direction; CSV of the located optimal pairs.
 
     Directions are 'cw' (delta_F = +|delta_F|) or 'ccw' (delta_F =
-    -|delta_F|), each at most once.  The search box is the default of
-    ``find_optimal_pairs``.  A direction with no root in the box emits one
-    warning row of NaNs rather than failing.
+    -|delta_F|), each at most once.  The search box is the fixed one of
+    ``find_optimal_pairs``, hashed with the inputs.  A direction with no root
+    in the box emits one warning row of NaNs rather than failing.
     """
     _check_output(output_path)
     t0 = time.monotonic()

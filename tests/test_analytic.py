@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spinpb import (
-    ConfigError,
     SolverError,
     SystemParams,
     analytic,
@@ -208,15 +207,20 @@ class TestFindOptimalPairs:
         assert deltas == sorted(deltas)
 
     def test_empty_box_when_lambda_excluded(self, working_params):
-        # grid oracle: |c02| stays bounded away from zero on this box
-        box = find_optimal_pairs(working_params, lambda_range=(1e-3, 1e-2))
-        assert box == []
+        # a root's Lambda scales as E^2: at 2 E both pairs sit just inside
+        # the box's Lambda <= 1e-5 omega_b, at 4 E (~3.96e-5) they leave it
+        double = find_optimal_pairs(working_params.replace(E=2 * working_params.E))
+        assert [round(p.lambda_opt / OMEGA_B, 8) for p in double] == [9.90e-6, 9.82e-6]
+        strong = working_params.replace(E=4 * working_params.E)
+        assert find_optimal_pairs(strong) == []
+        # grid oracle: |c02| stays bounded away from zero on the box, 3.41e-8
+        # at its least (the same grid falls to 8.5e-9 at 2 E, roots inside)
         floor = min(
-            abs(steady_amplitudes(working_params.replace(
+            abs(steady_amplitudes(strong.replace(
                 delta=d * OMEGA_B, Lambda=lam * OMEGA_B)).c02)
             for d in np.linspace(-1, 1, 41)
-            for lam in np.linspace(1e-3, 1e-2, 11))
-        assert floor > 1e-9
+            for lam in np.linspace(0.0, 1e-5, 11))
+        assert floor > 2e-8
 
     def test_roots_persist_under_grid_refinement(self, working_params, monkeypatch):
         coarse = find_optimal_pairs(working_params)
@@ -263,12 +267,6 @@ class TestFindOptimalPairs:
         # a +-1e80 rad/s box needs more than brentq's 100 iterations
         with pytest.raises(SolverError, match="did not converge"):
             find_optimal_pairs(working_params.replace(omega_b=1e80))
-
-    def test_reversed_box_rejected(self, working_params):
-        with pytest.raises(ConfigError):
-            find_optimal_pairs(working_params, delta_range=(1.0, -1.0))
-        with pytest.raises(ConfigError):
-            find_optimal_pairs(working_params, lambda_range=(-1e-6, 1e-5))
 
 
 class TestEvolveAmplitudes:

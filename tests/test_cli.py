@@ -80,10 +80,17 @@ class TestValidate:
         path = write_json(tmp_path / "bad.json", bad)
         assert main(["validate", "--config", path]) == 2
 
-    def test_invalid_json_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("content", [
+        b"{not json",
+        b"\xff",                                 # UnicodeDecodeError
+        b"[" * 100_000 + b"]" * 100_000,          # RecursionError
+        b'{"gamma": ' + b"1" * 5000 + b"}",       # ValueError: int digit limit
+    ], ids=["syntax", "non-utf8", "deep-nesting", "long-integer"])
+    def test_invalid_json_is_config_error(self, tmp_path, capsys, content):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
+        path.write_bytes(content)
         assert main(["validate", "--config", str(path)]) == 2
+        assert "config error: config file" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2

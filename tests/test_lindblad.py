@@ -500,8 +500,38 @@ class TestEvolve:
             propagate(liou, fock_photon_density(cfg55, 1), 1e200)
         assert time.perf_counter() - start < 1.0
 
+    def test_grid_past_substep_limit_is_solver_error(self, cfg55):
+        # 1000 steps of about 2^63 / 100 substeps each: no step is over the
+        # bound, the last time is 10 times over it, and the grid is refused
+        # before the first step (which alone would run for ever)
+        liou = build_liouvillian(unit_params(), cfg55)
+        matrix = liou.matrix   # |A|_1 of the complex A, within 1% of the frame's
+        shifted = matrix - np.trace(matrix) / cfg55.dim**2 * np.eye(cfg55.dim**2)
+        norm = np.abs(shifted).sum(axis=0).max()
+        step = 0.01 * lindblad._MAX_SUBSTEPS * lindblad._THETA_55 / norm
+        times = [k * step for k in range(1, 1001)]
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="2\\^63 substeps"):
+            next(lindblad._propagate(
+                liou, vectorize(fock_photon_density(cfg55, 1).data), times))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestG2Tau:
+    def test_unpropagatable_grid_fails_before_any_delay(self, working_params,
+                                                        cfg55, monkeypatch):
+        # the 1e200 s delay is refused after the one steady state, before
+        # the 1e-3 s delay (seconds of propagation) is reached
+        solves = []
+        solve = lindblad.steady_state
+        monkeypatch.setattr(lindblad, "steady_state",
+                            lambda liou: solves.append(liou) or solve(liou))
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="2\\^63 substeps"):
+            g2_tau(working_params, cfg55, [0.0, 1e-3, 1e200])
+        assert time.perf_counter() - start < 1.0
+        assert len(solves) == 1
+
     def test_zero_delay_matches_equal_time(self, working_params, cfg55):
         p = working_params.replace(delta=-0.684495 * OMEGA_B,
                                    Lambda=2.46157e-6 * OMEGA_B)
