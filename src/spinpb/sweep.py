@@ -3,10 +3,11 @@
 A sweep evaluates one observable over a 1-D or 2-D grid, row-major with
 axis1 outermost, and writes full-precision CSV plus a JSON manifest with
 provenance (config hash, tool version, timing) and a truncation-convergence
-check.  The grid is a float array, filled one line at a time (see
+check.  The grid is a float array, filled one line or cell at a time (see
 ``_grid_results``) and written and probed straight from that array.  Every
-engine call is in ``_line``, and a ``SweepSpec`` builds every grid point
-when made, so ``validate`` rejects what ``sweep`` would.  Evaluation is
+parameter point is built by ``_at`` and every engine call is in
+``_evaluate``; a ``SweepSpec`` builds every grid point when made, so
+``validate`` rejects what ``sweep`` would.  Evaluation is
 sequential and deterministic: rerunning a spec produces a byte-identical CSV.
 """
 
@@ -143,91 +144,91 @@ def _check_output(output_path) -> None:
                           " which is not a directory")
 
 
-def _apply_axis(params: SystemParams, name: str,
-                value: float | np.ndarray) -> SystemParams:
-    name, value = resolve_unit(name, value, params.gamma, params.omega_b)
-    return params.replace(**{name: value})
+def _at(spec: SweepSpec, coords) -> SystemParams:
+    """The parameter point at one coordinate (a value or an array) per axis.
 
-
-def _line(observable: str, point: SystemParams, cfg: HilbertConfig, name: str,
-          values: np.ndarray) -> np.ndarray:
-    """The observable at ``point`` with ``name`` (or tau) set to each value."""
-    if observable == "g2_tau":
-        return np.array([g for _t, g in g2_tau(point, cfg, values)])
-    if observable == "g2_analytic":
-        return g2_analytic(_apply_axis(point, name, values))
-    extract = g2_zero if observable == "g2_numeric" else mandel_q
-    return np.array([extract(steady_state(build_liouvillian(
-        _apply_axis(point, name, v), cfg)), cfg) for v in values])
-
-
-def _lines(base: SystemParams, names: list[str], values: list) -> tuple[int, list]:
-    """The line axis (tau for g2_tau, else the last) and each line's point.
-
-    Line j holds the other axis at its index j; a 1-D grid is one line.
+    axis1 is applied first, so an ``_over_gamma`` or ``_over_omega_b`` axis2
+    is scaled by the gamma or omega_b that axis1 left; tau is skipped.
     """
-    k = names.index("tau") if "tau" in names else len(names) - 1
-    return k, [base] if len(names) == 1 else [
-        _apply_axis(base, names[1 - k], v) for v in values[1 - k]]
+    point = spec.base
+    for ax, coord in zip((spec.axis1, spec.axis2), coords):
+        if ax.parameter != "tau":
+            name, value = resolve_unit(ax.parameter, coord, point.gamma,
+                                       point.omega_b)
+            point = point.replace(**{name: value})
+    return point
 
 
-def _grid_results(spec: SweepSpec) -> tuple[list, list, np.ndarray, list]:
-    """Evaluate the grid; returns (axis names, axis values, grid, failures).
+def _evaluate(observable: str, point: SystemParams, delays,
+              cfg: HilbertConfig):
+    """The observable at ``point``; the sweep's one call into the engines.
 
-    The grid has one dimension per axis and is filled one line at a time
-    (see ``_lines``): one array-valued solve per line for g2_analytic, one
-    delay trace for g2_tau, and one steady state per cell, each its own
-    ``_line`` call, for g2_numeric and mandel_q, so a failed cell costs no
-    other.  A g2_analytic line that fails is redone one value at a time; a
-    g2_tau line that fails (one steady state) fails at every delay.  Each
-    failed cell is NaN with one failure record giving every axis's index and
-    value.
+    g2_tau gives one value per delay, g2_analytic one per point of an
+    array-valued ``point``, and g2_numeric and mandel_q one value.
+    """
+    if observable == "g2_tau":
+        return np.array([g for _t, g in g2_tau(point, cfg, delays)])
+    if observable == "g2_analytic":
+        return g2_analytic(point)
+    extract = g2_zero if observable == "g2_numeric" else mandel_q
+    return extract(steady_state(build_liouvillian(point, cfg)), cfg)
+
+
+def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
+    """Evaluate the grid; returns (axis values, grid, failures).
+
+    The grid has one dimension per axis.  g2_analytic is solved one line of
+    the last axis per array-valued call, g2_tau one delay trace per line of
+    its tau axis, and g2_numeric and mandel_q one steady state per cell, so a
+    failed cell costs no other.  Each block's point is ``_at`` of its own
+    coordinates.  A g2_analytic line that fails is redone one cell at a
+    time; a g2_tau line that fails (one steady state) fails at every delay.
+    Each failed cell is NaN with one failure record giving every axis's
+    index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
-    names, values = [ax.parameter for ax in axes], [ax.values() for ax in axes]
-    k, points = _lines(spec.base, names, values)
+    values = [ax.values() for ax in axes]
     grid = np.full([len(v) for v in values], np.nan)
-    errors = []
-    # row j is a view of the line at index j of the other axis
-    lines = np.moveaxis(grid, k, -1).reshape(-1, len(values[k]))
-    for j, (point, line) in enumerate(zip(points, lines)):
-        cells, failed = range(len(line)), []   # g2_numeric, mandel_q: cell by cell
-        if spec.observable in ("g2_analytic", "g2_tau"):
-            try:
-                line[:] = _line(spec.observable, point, spec.cfg, names[k], values[k])
-                cells = []
-            except SolverError as exc:
-                if spec.observable == "g2_tau":   # one steady state, one trace: all fail
-                    failed = [(i, exc) for i in cells]
-                    cells = []
-        for i in cells:
-            try:
-                line[i] = _line(spec.observable, point, spec.cfg, names[k],
-                                values[k][i:i + 1])[0]
-            except SolverError as cell_exc:
-                failed.append((i, cell_exc))
-        for i, error in failed:
-            index = [j] * len(axes)   # the other axis at j, this one at i
-            index[k] = i
-            errors.append((tuple(index), f"{type(error).__name__}: {error}"))
+    k = next((n for n, ax in enumerate(axes) if ax.parameter == "tau"),
+             len(axes) - 1)   # the line axis
+    delays = values[k] if spec.observable == "g2_tau" else None
+    if spec.observable in ("g2_analytic", "g2_tau"):   # every line along k
+        todo = [i[:k] + (slice(None),) + i[k:]
+                for i in np.ndindex(grid.shape[:k] + grid.shape[k + 1:])]
+    else:
+        todo = list(np.ndindex(grid.shape))
+    errors = {}
+    for block in todo:   # a failed g2_analytic line appends its cells
+        try:
+            grid[block] = _evaluate(spec.observable, _at(spec, [
+                v[b] for v, b in zip(values, block)]), delays, spec.cfg)
+        except SolverError as exc:
+            line = isinstance(block[k], slice)
+            cells = [block[:k] + (i,) + block[k + 1:]
+                     for i in range(grid.shape[k])] if line else [block]
+            if line and spec.observable == "g2_analytic":
+                todo += cells
+            else:   # a cell, or a g2_tau line: one steady state, one trace
+                errors.update(dict.fromkeys(cells, exc))
     failures = []
-    for index, error in sorted(errors):   # row-major, as the CSV
+    for index, error in sorted(errors.items()):   # row-major, as the CSV
         record = {}
         for n, i in enumerate(index):
             record[f"axis{n + 1}_index"] = i
-            record[names[n]] = float(values[n][i])
-        failures.append({**record, "error": error})
-    return names, values, grid, failures
+            record[axes[n].parameter] = float(values[n][i])
+        failures.append({**record, "error": f"{type(error).__name__}: {error}"})
+    return values, grid, failures
 
 
-def _probe(observable: str, base: SystemParams, cfg: HilbertConfig, names: list,
-           values: list, grid: np.ndarray) -> tuple[float | None, bool, list]:
+def _probe(observable: str, cfg: HilbertConfig, names: list, values: list,
+           grid: np.ndarray, at) -> tuple[float | None, bool, list]:
     """Redo the most sensitive cell with one extra Fock level per mode.
 
     That is the first smallest finite cell in row-major order, recomputed by
-    one ``_line`` call on its own value at (n_magnon + 1) x (n_photon + 1).
-    Returns the relative change, whether it is below ``CONVERGENCE_BOUND``,
-    and notes; g2_analytic has no truncation, so its delta is 0.
+    one ``_evaluate`` call at its point ``at(coords)`` and its delay, at
+    (n_magnon + 1) x (n_photon + 1).  Returns the relative change, whether
+    it is below ``CONVERGENCE_BOUND``, and notes; g2_analytic has no
+    truncation, so its delta is 0.
     """
     if observable == "g2_analytic":
         return 0.0, True, ["analytic observable: truncation-free, delta is 0"]
@@ -235,25 +236,16 @@ def _probe(observable: str, base: SystemParams, cfg: HilbertConfig, names: list,
     if not finite.any():
         return None, False, ["no finite grid point; convergence not checkable"]
     index = np.unravel_index(np.argmin(np.where(finite, grid, np.inf)), grid.shape)
-    k, points = _lines(base, names, values)
-    point, i = points[index[1 - k] if grid.ndim == 2 else 0], index[k]
+    coords = [v[i] for v, i in zip(values, index)]
+    delays = [coords[names.index("tau")]] if observable == "g2_tau" else None
     cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
     try:
-        high = _line(observable, point, cfg_hi, names[k], values[k][i:i + 1])[0]
+        high = _evaluate(observable, at(coords), delays, cfg_hi)
     except SolverError as exc:
         return None, False, [f"convergence probe failed: {exc}"]
-    high, low = float(high), float(grid[index])
+    high, low = float(np.ravel(high)[0]), float(grid[index])
     delta = abs(high - low) / max(abs(low), 1e-300)
     return delta, delta < CONVERGENCE_BOUND, []
-
-
-def _at(spec: SweepSpec, coords) -> SystemParams:
-    """The parameter point(s) at one value (or array) per axis; tau is skipped."""
-    point = spec.base
-    for ax, coord in zip((spec.axis1, spec.axis2), coords):
-        if ax.parameter != "tau":
-            point = _apply_axis(point, ax.parameter, coord)
-    return point
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
@@ -307,11 +299,13 @@ def manifest_path_for(csv_path) -> Path:
 def run_sweep(spec: SweepSpec) -> RunManifest:
     """Execute a sweep: evaluate the grid, write CSV and manifest."""
     t0 = time.monotonic()
-    names, values, grid, failures = _grid_results(spec)
+    values, grid, failures = _grid_results(spec)
     coords = np.meshgrid(*values, indexing="ij")
     header = ["axis1_value", "axis2_value"][:len(values)] + ["observable_value"]
     table = np.column_stack([c.ravel() for c in coords] + [grid.ravel()])
-    check = _probe(spec.observable, spec.base, spec.cfg, names, values, grid)
+    names = [ax.parameter for ax in (spec.axis1, spec.axis2) if ax is not None]
+    check = _probe(spec.observable, spec.cfg, names, values, grid,
+                   lambda point_coords: _at(spec, point_coords))
     return _finish(spec.output_path, header, table, failures, check,
                    spec.observable, spec.base, _at(spec, coords), spec.cfg,
                    asdict(spec), t0)
@@ -368,11 +362,12 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
     taus = np.linspace(0.0, tau_max, points)   # one point is tau = 0
-    trace = _line("g2_tau", params, cfg, "tau", taus)
+    trace = _evaluate("g2_tau", params, taus, cfg)
     inputs = {"params": asdict(params), "cfg": asdict(cfg),
               "tau_max": tau_max, "points": points, "output_path": str(output_path)}
     return _finish(output_path, ["tau", "g2"], np.column_stack([taus, trace]), [],
-                   _probe("g2_tau", params, cfg, ["tau"], [taus], trace),
+                   _probe("g2_tau", cfg, ["tau"], [taus], trace,
+                          lambda _coords: params),
                    "g2_tau", params, params, cfg, inputs, t0)
 
 

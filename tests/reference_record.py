@@ -9,10 +9,15 @@
   sweep whose probed cell is that one, with the converged flag each gives;
 * ``optimal --direction both`` and ``g2tau`` (41 delays to 6 us) at the
   ``fig8a`` base;
+* ``layouts``: small grids at a 3x3 truncation that put the tau axis, a
+  reduced-unit axis scaled by a swept gamma, and a failing E = 0 line in
+  each axis position, plus a log tau axis to 1e31 s that the propagator
+  refuses;
 
-and returns the CSV tables with each run's converged flag and failure
-count.  ``tests/test_reference.py`` reruns it and compares with the record
-this script writes::
+and returns the CSV tables with each run's converged flag, convergence
+delta and failure records (axis indices, or direction, and error text).
+``tests/test_reference.py`` reruns it and compares with the record this
+script writes::
 
     PYTHONPATH=src python tests/reference_record.py
 
@@ -44,13 +49,17 @@ def _preset(name: str) -> dict:
 
 
 def _run(out: Path, argv: list[str]) -> dict:
-    """Run one command that writes ``out``; its table, flag and failures."""
+    """Run one command that writes ``out``; its table, probe and failures."""
     if main(argv) != 0:
         raise RuntimeError(f"{out.name}: command failed")
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    failures = [{key: value for key, value in record.items()
+                 if key.endswith("_index") or key in ("direction", "error")}
+                for record in manifest["failures"]]
     return {"table": table.tolist(), "converged": manifest["converged"],
-            "failures": len(manifest["failures"])}
+            "delta": manifest["truncation_convergence_delta"],
+            "failures": failures}
 
 
 def _sweep(workdir: Path, name: str, spec: dict) -> dict:
@@ -60,8 +69,42 @@ def _sweep(workdir: Path, name: str, spec: dict) -> dict:
     return _run(out, ["sweep", "--spec", str(path)])
 
 
+def _axis(parameter: str, low: float, high: float, points: int = 3,
+          scale: str = "linear") -> dict:
+    return {"parameter": parameter, "min": low, "max": high, "points": points,
+            "scale": scale}
+
+
+def _layouts() -> dict:
+    """Small sweeps at 3x3, each with its axes in one order.
+
+    Without a pair source (Lambda = 0), E = 0 leaves no photons, so every
+    cell on the E = 0 line fails.
+    """
+    base = _preset("fig8a")["base"]
+    vacuum = dict(base, Lambda_over_omega_b=0.0)
+    tau = _axis("tau", 0.0, 1e-6)
+    drive = _axis("E_over_gamma", 0.0, 0.01)
+    signed = _axis("E_over_gamma", -0.01, 0.01)   # E = 0 in the middle
+    detuning = _axis("delta_over_omega_b", -0.8, 0.8)
+    gamma = base["gamma"]
+    return {
+        "g2_tau_tau_first": ("g2_tau", vacuum, tau, drive),
+        "g2_tau_tau_second": ("g2_tau", base,
+                              _axis("delta_over_omega_b", -0.7, -0.66), tau),
+        "mandel_q_gamma_first": ("mandel_q", base,
+                                 _axis("gamma", 0.5 * gamma, 2.0 * gamma),
+                                 _axis("delta_over_gamma", 0.5, 2.0)),
+        "g2_analytic_e_first": ("g2_analytic", vacuum, signed, detuning),
+        "g2_analytic_e_second": ("g2_analytic", vacuum, detuning, signed),
+        "mandel_q_e_row": ("mandel_q", vacuum, signed, detuning),
+        "g2_tau_log_tau": ("g2_tau", base,
+                           _axis("tau", 1e-45, 1e31, 5, "log"), None),
+    }
+
+
 def compute(workdir: Path) -> dict:
-    record: dict = {"presets": {}, "fig7b_probe": {}}
+    record: dict = {"presets": {}, "fig7b_probe": {}, "layouts": {}}
     for name in PRESETS:
         spec = _preset(name)
         cut = 41 if spec.get("axis2") is None else 7
@@ -76,6 +119,10 @@ def compute(workdir: Path) -> dict:
                     base=dict(fig7b["base"], delta_over_omega_b=-0.64),
                     cfg={"n_magnon": n, "n_photon": n})
         record["fig7b_probe"][f"{n}x{n}"] = _sweep(workdir, f"fig7b_{n}x{n}", spec)
+    for name, (observable, base, axis1, axis2) in _layouts().items():
+        record["layouts"][name] = _sweep(workdir, name, {
+            "axis1": axis1, "axis2": axis2, "observable": observable,
+            "base": base, "cfg": {"n_magnon": 3, "n_photon": 3}})
     base = workdir / "base.json"
     base.write_text(json.dumps(_preset("fig8a")["base"]))
     for name, options in (("optimal", ["--direction", "both"]),

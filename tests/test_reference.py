@@ -4,7 +4,10 @@ Each value is compared at a relative tolerance of 1e-9, not byte for byte,
 so that another BLAS does not fail the test; byte-identical reruns are
 tested in ``test_sweep.py``.  The one exception is the pair search's
 residual |c02| at a root, which is rounding noise (2.8e-21 to 6.0e-20 in the
-record): it is checked against the bound 1e-15 instead.
+record): it is checked against the bound 1e-15 instead.  The convergence
+delta |high - low| / |low| is compared to an absolute 2 RTOL (1 + delta),
+since both probed values are held to RTOL, and the failure records
+exactly.
 """
 
 import json
@@ -20,6 +23,7 @@ RESIDUAL_BOUND = 1e-15
 REFERENCE = json.loads(RECORD.read_text())
 RUNS = [("presets", name) for name in REFERENCE["presets"]] + [
     ("fig7b_probe", size) for size in REFERENCE["fig7b_probe"]] + [
+    ("layouts", name) for name in REFERENCE["layouts"]] + [
     ("optimal", None), ("g2tau", None)]
 
 
@@ -36,6 +40,10 @@ def entry(record: dict, group: str, name: str | None) -> dict:
 def test_matches_record(outputs, group, name):
     got, want = entry(outputs, group, name), entry(REFERENCE, group, name)
     assert (got["converged"], got["failures"]) == (want["converged"], want["failures"])
+    if want["delta"] is None:
+        assert got["delta"] is None
+    else:
+        assert abs(got["delta"] - want["delta"]) <= 2 * RTOL * (1 + want["delta"])
     got_table, want_table = np.array(got["table"]), np.array(want["table"])
     assert got_table.shape == want_table.shape
     if group == "optimal":   # the residual column is checked by its bound

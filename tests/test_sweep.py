@@ -279,7 +279,7 @@ class TestRunSweep:
                          base=cw_base().replace(delta=-0.684495 * OMEGA_B),
                          cfg=HilbertConfig(3, 3),
                          output_path=str(tmp_path / "tau.csv"))
-        _names, (taus,), grid, failures = _grid_results(spec)
+        (taus,), grid, failures = _grid_results(spec)
         assert len(solves) == 1
         assert not np.isfinite(grid).any()
         assert [{k: v for k, v in f.items() if k != "error"} for f in failures] == [
@@ -301,7 +301,7 @@ class TestRunSweep:
                          observable=observable, base=cw_base().replace(Lambda=0.0),
                          cfg=HilbertConfig(3, 3),
                          output_path=str(tmp_path / "line.csv"))
-        _names, _values, grid, failures = _grid_results(spec)
+        _values, grid, failures = _grid_results(spec)
         assert len(solves) == 5
         assert np.isnan(grid[2]) and np.all(np.isfinite(np.delete(grid, 2)))
         assert [f["axis1_index"] for f in failures] == [2]
@@ -536,7 +536,8 @@ class TestRunG2Tau:
 class TestConvergenceProbe:
     """The probe redoes the first smallest finite cell at (n+1)x(n+1)."""
 
-    @pytest.mark.parametrize("case", ["mandel_q 2-D", "g2_tau tau second",
+    @pytest.mark.parametrize("case", ["mandel_q 2-D", "mandel_q gamma first",
+                                      "g2_tau tau first", "g2_tau tau second",
                                       "g2tau command"])
     def test_probed_cell_and_delta_are_pinned(self, tmp_path, case):
         base, cfg, cfg_hi = cw_base(), HilbertConfig(3, 3), HilbertConfig(4, 4)
@@ -556,6 +557,30 @@ class TestConvergenceProbe:
                 point = base.replace(delta=d * base.gamma, gamma=g)
                 return mandel_q(steady_state(build_liouvillian(point, cfg_hi)),
                                 cfg_hi)
+        elif case == "mandel_q gamma first":
+            # delta follows the swept gamma: axis1 is applied first
+            manifest = run_sweep(SweepSpec(
+                axis1=AxisSpec("gamma", 0.5 * GAMMA, 2.0 * GAMMA, 3),
+                axis2=AxisSpec("delta_over_gamma", 0.5, 2.0, 3),
+                observable="mandel_q", base=base, cfg=cfg, output_path=str(out)))
+
+            def q_at(g, d, cfg):
+                point = base.replace(gamma=g, delta=d * g)
+                return mandel_q(steady_state(build_liouvillian(point, cfg)), cfg)
+
+            def high_at(g, d):
+                return q_at(g, d, cfg_hi)
+
+            for g, d, q in np.loadtxt(out, delimiter=",", skiprows=1):
+                assert q == q_at(g, d, cfg)
+        elif case == "g2_tau tau first":
+            manifest = run_sweep(SweepSpec(
+                axis1=AxisSpec("tau", 0.0, 1e-6, 3),
+                axis2=AxisSpec("delta_over_omega_b", -0.7, -0.66, 3),
+                observable="g2_tau", base=base, cfg=cfg, output_path=str(out)))
+
+            def high_at(tau, d):
+                return g2_at(base.replace(delta=d * base.omega_b), tau)
         elif case == "g2_tau tau second":
             manifest = run_sweep(SweepSpec(
                 axis1=AxisSpec("delta_over_omega_b", -0.7, -0.66, 3),
