@@ -95,25 +95,33 @@ FLOOR_CASES = [pytest.param("fig2a", delta, noise, 5, id=f"noise{i}-{delta}")
     for i, noise in enumerate(NOISES) if (panel, size) != ("fig2a", 5)]
 
 
-def record_fallbacks(monkeypatch) -> list[int]:
-    """Count the sector sweeps; returns the count at each direct solve.
-
-    Every ``splu`` factor counts its solves, and each ``_direct_solve``
-    call appends the count so far: the sweeps run before the fallback.
-    """
-    solves, sweeps_at_fallback = [], []
+def count_factors(monkeypatch) -> tuple[list[tuple[int, int]], list[int]]:
+    """Wrap ``splu``: the shape of each factored matrix, and one entry per solve."""
+    factored, solves = [], []
     splu = scipy.sparse.linalg.splu
 
     class CountingLU:
         def __init__(self, matrix):
+            factored.append(matrix.shape)
             self.lu = splu(matrix)
 
         def solve(self, rhs):
             solves.append(1)
             return self.lu.solve(rhs)
 
-    direct_solve = lindblad._direct_solve
     monkeypatch.setattr(scipy.sparse.linalg, "splu", CountingLU)
+    return factored, solves
+
+
+def record_fallbacks(monkeypatch) -> list[int]:
+    """Count the sector sweeps; returns the count at each direct solve.
+
+    Every ``splu`` factor counts its solves, and each ``_direct_solve``
+    call appends the count so far: the sweeps run before the fallback.
+    """
+    _, solves = count_factors(monkeypatch)
+    sweeps_at_fallback = []
+    direct_solve = lindblad._direct_solve
     monkeypatch.setattr(lindblad, "_direct_solve", lambda *args: (
         sweeps_at_fallback.append(len(solves)) or direct_solve(*args)))
     return sweeps_at_fallback
@@ -303,7 +311,7 @@ class TestSteadyState:
         # at the exact fig2c pair (m_th = gamma_p = 0) four coherences keep
         # steps of about 1e-22, a rounding floor, and never meet the stop
         # rule; the sweeps must give up once their largest unsettled step
-        # stops halving (sweep 21 at 5x5, 23 at 6x6), not after 100 sweeps,
+        # stops halving (sweep 21 at 5x5, 22 at 6x6), not after 100 sweeps,
         # and the state is the direct solve's, bit for bit
         liou = build_liouvillian(preset_point("fig2c", 0.679535),
                                  HilbertConfig(size, size))
@@ -319,18 +327,60 @@ class TestSteadyState:
     @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
     def test_sector_block_is_drive_free_system(self, working_params, n_magnon,
                                                n_photon):
-        # the same-sector entries are exactly the system at E = Lambda = 0,
-        # stored without the off-sector pattern or explicit zeros
+        # the same-sector entries of the k >= 0 rows are exactly the system
+        # at E = Lambda = 0, stored without the off-sector pattern or
+        # explicit zeros; that system's k >= 0 rows read no k < 0 column
         p = working_params.replace(delta=-0.3 * OMEGA_B, Lambda=2.5e-6 * OMEGA_B,
                                    beta=0.4, m_th=0.1, gamma_p=0.01 * GAMMA)
         cfg = HilbertConfig(n_magnon, n_photon)
-        _, block = _split_systems(build_liouvillian(p, cfg))
-        free, _ = _split_systems(build_liouvillian(p.replace(E=0.0, Lambda=0.0), cfg))
+        half = _split_systems(build_liouvillian(p, cfg))
+        upper = half.source < half.block.shape[0]
+        free = _split_systems(build_liouvillian(p.replace(E=0.0, Lambda=0.0), cfg)).rows
+        assert np.count_nonzero(free[:, ~upper].toarray()) == 0
+        free = free[:, upper]
         free.eliminate_zeros()
-        assert 0 < block.nnz < build_liouvillian(p, cfg).generator.nnz
-        np.testing.assert_array_equal(block.indptr, free.indptr)
-        np.testing.assert_array_equal(block.indices, free.indices)
-        np.testing.assert_array_equal(block.data, free.data)
+        assert 0 < half.block.nnz < half.rows.nnz
+        np.testing.assert_array_equal(half.block.indptr, free.indptr)
+        np.testing.assert_array_equal(half.block.indices, free.indices)
+        np.testing.assert_array_equal(half.block.data, free.data)
+
+    @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
+    def test_sector_minus_k_mirrors_sector_k(self, working_params, n_magnon,
+                                             n_photon):
+        # the premise of solving half the sectors: X -> X+ maps sector k to
+        # -k, so M's sector -k block is, bit for bit, the conjugate of its
+        # sector k block under (i, j) -> (j, i); so is S as a whole
+        p = working_params.replace(delta=-0.3 * OMEGA_B, Lambda=2.5e-6 * OMEGA_B,
+                                   beta=0.4, m_th=0.1, gamma_p=0.01 * GAMMA)
+        cfg = HilbertConfig(n_magnon, n_photon)
+        system = build_liouvillian(p, cfg).matrix
+        system[0, :] = 0.0
+        system[0, ::cfg.dim + 1] = 1.0
+        number = np.add(*np.divmod(np.arange(cfg.dim), cfg.n_photon))   # N = m + n
+        sector = vectorize(np.subtract.outer(number, number))   # at (i, j): N_i - N_j
+        mirror = np.arange(cfg.dim**2).reshape(cfg.dim, cfg.dim).T.ravel()   # (j, i)
+        block = np.where(np.equal.outer(sector, sector), system, 0.0)
+        for k in range(sector.max() + 1):
+            plus = np.flatnonzero(sector == k)
+            np.testing.assert_array_equal(block[np.ix_(mirror[plus], mirror[plus])],
+                                          block[np.ix_(plus, plus)].conj())
+        np.testing.assert_array_equal(system[np.ix_(mirror, mirror)], system.conj())
+
+    def test_only_the_half_is_factored_and_swept(self, monkeypatch):
+        # at the fig2a pair (5x5) the factor holds the 355 unknowns of
+        # sectors k >= 0, the sweeps take the 14 of the whole system, and the
+        # swept vector is exactly Hermitian before steady_state Hermitizes it
+        factored, solves = count_factors(monkeypatch)
+        swept = []
+        sector_sweeps = lindblad._sector_sweeps
+        monkeypatch.setattr(lindblad, "_sector_sweeps",
+                            lambda half: swept.append(sector_sweeps(half)) or swept[-1])
+        cfg = HilbertConfig(5, 5)
+        steady_state(build_liouvillian(preset_point("fig2a", -0.684495), cfg))
+        assert factored == [(355, 355)]
+        assert len(solves) == 14
+        rho = unvectorize(swept[0], cfg.dim)
+        np.testing.assert_array_equal(rho, rho.conj().T)
 
     def test_driven_cavity_matches_coherent_state(self):
         # closed form: alpha = -E / (delta + delta_F - i gamma/2)

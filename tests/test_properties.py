@@ -28,7 +28,7 @@ from spinpb import (
     steady_state,
 )
 from spinpb.lindblad import (DensityMatrix, _hermitian_frame, _propagate,
-                             _split_systems, unvectorize, vectorize)
+                             _split_systems, _trace_system, unvectorize, vectorize)
 from spinpb.operators import annihilation, embed_ops
 from spinpb.sweep import _write_csv
 from conftest import GAMMA, J, OMEGA_B, random_density
@@ -96,10 +96,13 @@ def test_sparse_steady_state_matches_dense_solve(params, e, n_magnon, n_photon):
     system[0, :] = 0.0
     system[0, ::cfg.dim + 1] = 1.0
     # the sparse system is a mask of L: the dense one entry for entry, with
-    # only the dim trace entries stored in row 0
-    masked, _ = _split_systems(liou)
+    # only the dim trace entries stored in row 0; so are its k >= 0 rows
+    masked = _trace_system(liou)
     np.testing.assert_array_equal(masked.toarray(), system)
     assert np.count_nonzero(masked.indices == 0) == cfg.dim
+    half = _split_systems(liou)
+    np.testing.assert_array_equal(half.rows.toarray(),
+                                  system[half.source < half.block.shape[0]])
     rhs = np.zeros(cfg.dim**2, dtype=complex)
     rhs[0] = 1.0
     rho = unvectorize(np.linalg.solve(system, rhs), cfg.dim)
