@@ -14,7 +14,7 @@ arrays; then the weights, the 6x6 matrices and the 5x5 systems are stacked,
 all points are one LAPACK call, and ``g2_analytic`` returns an array.  A
 scalar point is the 0-d case, and every array element is bit-identical to
 its scalar evaluation: the map sweeps and the pair search's delta scan use
-the array form, brentq and ``steady_amplitudes`` the scalar one.
+the array form, brentq and the check of each root the scalar one.
 
 scipy is imported inside the functions that use it, so importing the package
 (and the CLI's parse-only commands) does not load it.
@@ -45,7 +45,11 @@ _RESIDUAL_TOL = 1e-10           # accepted |c02| at a root, relative to |a|
 
 @dataclass(frozen=True)
 class AmplitudeVector:
-    """Amplitudes of the m + n <= 2 subspace, basis |m magnons, n photons>."""
+    """Amplitudes of the m + n <= 2 subspace, basis |m magnons, n photons>.
+
+    For array-valued parameters c10 ... c20 are arrays of the points'
+    broadcast shape; c00 is 1 throughout.
+    """
 
     c00: complex
     c10: complex
@@ -65,8 +69,8 @@ class OptimalPair:
 
 
 def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
-    """Solve the steady amplitude hierarchy of one point with c00 = 1."""
-    return AmplitudeVector(1.0 + 0.0j, *_amplitudes(params))
+    """Solve the steady amplitude hierarchy with c00 = 1, at one point or many."""
+    return AmplitudeVector(1.0 + 0.0j, *np.moveaxis(_amplitudes(params), -1, 0))
 
 
 def _amplitudes(params: SystemParams) -> np.ndarray:

@@ -243,8 +243,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     norm would stop before they do.  If M is singular, the sweeps diverge
     (max|dx| > max|x| or NaN), stall (the largest step of an entry that has
     not settled fails to halve in 10 sweeps) or 100 sweeps do not meet the
-    rule, the whole S is built (``_trace_system``) and solved directly
-    (``_direct_solve``).
+    rule, ``_direct_solve`` builds the whole S and solves it directly.
     The result is Hermitized, checked against the residual bound
     |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a density matrix
     (``SolverError`` if it is not one).
@@ -252,9 +251,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     L = liouvillian.generator
     vec = _sector_sweeps(_split_systems(liouvillian))
     if vec is None:
-        rhs = np.zeros(L.shape[0], dtype=complex)
-        rhs[0] = 1.0
-        vec = _direct_solve(_trace_system(liouvillian), rhs)
+        vec = _direct_solve(liouvillian)
     rho = unvectorize(vec, liouvillian.dim)
     rho = 0.5 * (rho + rho.conj().T)
     residual = np.max(np.abs(L @ vectorize(rho)))
@@ -296,17 +293,6 @@ def _trace_entries(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     keep = rows != 0
     keep[trace] = True
     return data, keep
-
-
-def _trace_system(liouvillian: Liouvillian) -> csc_array:
-    """The whole trace-row system S, a mask of L; only the fallback needs it."""
-    from scipy.sparse import csc_array
-
-    L = liouvillian.generator
-    data, keep = _trace_entries(liouvillian)
-    kept = np.flatnonzero(keep)
-    return csc_array((data[kept], L.indices[kept], np.searchsorted(kept, L.indptr)),
-                     shape=L.shape)
 
 
 def _split_systems(liouvillian: Liouvillian) -> _Half:
@@ -406,14 +392,23 @@ def _sector_sweeps(half: _Half) -> np.ndarray | None:
     return None
 
 
-def _direct_solve(system: csc_array, rhs: np.ndarray) -> np.ndarray:
-    """Sparse LU of the whole system plus one step of iterative refinement.
+def _direct_solve(liouvillian: Liouvillian) -> np.ndarray:
+    """Solve the whole S x = e_0 by sparse LU plus one step of refinement.
 
-    SuperLU (``splu``: COLAMD column ordering, partial pivoting by row); a
-    singular factor raises ``NonUniqueSteadyStateError``.
+    S is built here, as a mask of L (``_trace_entries``), since only the
+    fallback needs it.  SuperLU (``splu``: COLAMD column ordering, partial
+    pivoting by row); a singular factor raises ``NonUniqueSteadyStateError``.
     """
+    from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
+    L = liouvillian.generator
+    data, keep = _trace_entries(liouvillian)
+    kept = np.flatnonzero(keep)
+    system = csc_array((data[kept], L.indices[kept], np.searchsorted(kept, L.indptr)),
+                       shape=L.shape)
+    rhs = np.zeros(L.shape[0], dtype=complex)
+    rhs[0] = 1.0
     try:
         lu = splu(system)
     except RuntimeError as err:    # SuperLU: "Factor is exactly singular"

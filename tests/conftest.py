@@ -1,10 +1,11 @@
-"""Shared fixtures: the published working point of the spinning-cavity model."""
+"""Shared fixtures: the published working point of the spinning-cavity model,
+and the dense steady-state oracle."""
 
 import numpy as np
 import pytest
 
 from spinpb import HilbertConfig, SystemParams
-from spinpb.lindblad import DensityMatrix
+from spinpb.lindblad import DensityMatrix, Liouvillian, unvectorize
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,6 +29,28 @@ def random_density(rng, dim: int) -> DensityMatrix:
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = raw @ raw.conj().T
     return DensityMatrix(rho / np.trace(rho).real)
+
+
+def trace_row_system(liouvillian: Liouvillian) -> np.ndarray:
+    """Dense S: L with row 0 replaced by the vectorized trace functional."""
+    system = liouvillian.matrix
+    system[0, :] = 0.0
+    system[0, ::liouvillian.dim + 1] = 1.0
+    return system
+
+
+def refined_solve(liouvillian: Liouvillian) -> DensityMatrix:
+    """Dense S x = e_0, refined twice with extended-precision residuals."""
+    system = trace_row_system(liouvillian)
+    rhs = np.zeros(system.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    vec = np.linalg.solve(system, rhs)
+    wide = system.astype(np.clongdouble)
+    for _ in range(2):
+        residual = rhs - wide @ vec.astype(np.clongdouble)
+        vec = vec + np.linalg.solve(system, residual.astype(complex))
+    rho = unvectorize(vec, liouvillian.dim)
+    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 @pytest.fixture(scope="session")

@@ -127,6 +127,19 @@ class TestSteadyAmplitudes:
             assert abs(amps.c02) < abs(amps.c01)
             assert abs(amps.c00) == 1.0
 
+    @pytest.mark.parametrize("shape", [(4,), (5,), (3, 4)])
+    def test_array_point_is_scalar_bit_for_bit(self, shape):
+        # each field holds one amplitude at every point, not the five of
+        # one point; 5 points is the count at which unpacking the point axis
+        # went unnoticed
+        deltas = np.linspace(-0.9, 0.8, np.prod(shape)).reshape(shape)
+        amps = steady_amplitudes(make_params(deltas, 2.46e-6, 0.5))
+        points = [steady_amplitudes(make_params(d, 2.46e-6, 0.5)) for d in deltas.flat]
+        assert amps.c00 == 1.0
+        for name in ("c10", "c01", "c11", "c02", "c20"):
+            expected = np.reshape([getattr(point, name) for point in points], shape)
+            np.testing.assert_array_equal(getattr(amps, name), expected)
+
 
 class TestG2Analytic:
     def test_linear_cavity_is_coherent(self):

@@ -274,6 +274,19 @@ class TestOptimalCommand:
                      "--output", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
 
+    def test_empty_direction_list_exits_two(self, params_file, tmp_path, capsys):
+        assert main(["optimal", "--config", params_file, "--direction", ",",
+                     "--output", str(tmp_path / "x.csv")]) == 2
+        assert "empty direction list" in capsys.readouterr().err
+
+    def test_unwritable_manifest_exits_one(self, params_file, tmp_path, capsys):
+        # the CSV is written, then the manifest path is a directory
+        out = tmp_path / "opt.csv"
+        (tmp_path / "opt.csv.manifest.json").mkdir()
+        assert main(["optimal", "--config", params_file, "--direction", "cw",
+                     "--output", str(out)]) == 1
+        assert "I/O error: [Errno 21] Is a directory" in capsys.readouterr().err
+
 
 class TestG2TauCommand:
     def test_small_trace(self, params_file, tmp_path):

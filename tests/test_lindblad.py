@@ -36,7 +36,8 @@ import spinpb.lindblad as lindblad
 from spinpb.lindblad import (DensityMatrix, Liouvillian, _split_systems, unvectorize,
                              vectorize)
 from spinpb.operators import embed_ops
-from conftest import GAMMA, J, OMEGA_B, PAIRS_CCW, PAIRS_CW, random_density
+from conftest import (GAMMA, J, OMEGA_B, PAIRS_CCW, PAIRS_CW, random_density,
+                      refined_solve, trace_row_system)
 
 
 def unit_params(**kw) -> SystemParams:
@@ -58,23 +59,6 @@ def preset_point(panel: str, delta: float, m_th: float = 0.0,
     point = base.replace(delta=delta * base.omega_b, m_th=m_th,
                          gamma_p=gamma_p * base.gamma)
     return point if E is None else point.replace(E=E * base.gamma)
-
-
-def refined_solve(liouvillian: Liouvillian) -> DensityMatrix:
-    """Dense trace-row solve refined twice with extended-precision residuals."""
-    L = liouvillian.matrix
-    system = L.copy()
-    system[0, :] = 0.0
-    system[0, ::liouvillian.dim + 1] = 1.0
-    rhs = np.zeros(L.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    vec = np.linalg.solve(system, rhs)
-    wide = system.astype(np.clongdouble)
-    for _ in range(2):
-        residual = rhs - wide @ vec.astype(np.clongdouble)
-        vec = vec + np.linalg.solve(system, residual.astype(complex))
-    rho = unvectorize(vec, liouvillian.dim)
-    return DensityMatrix(0.5 * (rho + rho.conj().T))
 
 
 # g2 floor cases: the first four (ids noiseN-<delta>) are the two fig2a dips
@@ -273,7 +257,7 @@ class TestSteadyState:
 
     def test_diverging_sweeps_fall_back_to_direct_solve(self, monkeypatch):
         # at E = gamma the drive outweighs the sector block and the sweeps
-        # diverge; the direct solve must then agree with the dense solve
+        # diverge; the direct solve must then agree with the refined dense solve
         calls = []
         direct_solve = lindblad._direct_solve
         monkeypatch.setattr(lindblad, "_direct_solve",
@@ -282,13 +266,7 @@ class TestSteadyState:
         p = p.replace(E=p.gamma)
         cfg = HilbertConfig(5, 5)
         liou = build_liouvillian(p, cfg)
-        system = liou.matrix
-        system[0, :] = 0.0
-        system[0, ::cfg.dim + 1] = 1.0
-        rhs = np.zeros(cfg.dim**2, dtype=complex)
-        rhs[0] = 1.0
-        rho = unvectorize(np.linalg.solve(system, rhs), cfg.dim)
-        dense = g2_zero(DensityMatrix(0.5 * (rho + rho.conj().T)), cfg)
+        dense = g2_zero(refined_solve(liou), cfg)
         value = g2_zero(steady_state(liou), cfg)
         assert calls == [1]
         assert abs(value - dense) <= 1e-10 * dense
@@ -324,6 +302,20 @@ class TestSteadyState:
         assert sweeps_at_fallback[0] <= 25
         np.testing.assert_array_equal(rho.data, direct.data)
 
+    def test_sweep_limit_falls_back_to_direct_solve(self, monkeypatch):
+        # the fig2a pair (5x5) settles in 14 sweeps; held to 5, the sweeps
+        # must give up after the fifth, and the state is the direct
+        # solve's, bit for bit
+        liou = build_liouvillian(preset_point("fig2a", -0.684495), HilbertConfig(5, 5))
+        with monkeypatch.context() as patch:
+            patch.setattr(lindblad, "_sector_sweeps", lambda *args: None)
+            direct = steady_state(liou)
+        monkeypatch.setattr(lindblad, "_MAX_SWEEPS", 5)
+        sweeps_at_fallback = record_fallbacks(monkeypatch)
+        rho = steady_state(liou)
+        assert sweeps_at_fallback == [5]
+        np.testing.assert_array_equal(rho.data, direct.data)
+
     @pytest.mark.parametrize("n_magnon, n_photon", [(3, 4), (5, 5)])
     def test_sector_block_is_drive_free_system(self, working_params, n_magnon,
                                                n_photon):
@@ -353,9 +345,7 @@ class TestSteadyState:
         p = working_params.replace(delta=-0.3 * OMEGA_B, Lambda=2.5e-6 * OMEGA_B,
                                    beta=0.4, m_th=0.1, gamma_p=0.01 * GAMMA)
         cfg = HilbertConfig(n_magnon, n_photon)
-        system = build_liouvillian(p, cfg).matrix
-        system[0, :] = 0.0
-        system[0, ::cfg.dim + 1] = 1.0
+        system = trace_row_system(build_liouvillian(p, cfg))
         number = np.add(*np.divmod(np.arange(cfg.dim), cfg.n_photon))   # N = m + n
         sector = vectorize(np.subtract.outer(number, number))   # at (i, j): N_i - N_j
         mirror = np.arange(cfg.dim**2).reshape(cfg.dim, cfg.dim).T.ravel()   # (j, i)

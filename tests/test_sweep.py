@@ -25,6 +25,7 @@ from spinpb import (
     steady_state,
 )
 from spinpb.config import config_hash, params_from_dict
+from spinpb.errors import LiouvillianSizeError
 import spinpb.lindblad as lindblad
 import spinpb.sweep as sweep
 from spinpb.sweep import _grid_results, manifest_path_for, sweep_spec_from_dict
@@ -375,7 +376,7 @@ class TestRunSweep:
         notes = run_sweep(spec).notes
         assert any(n.startswith("weak-drive flag") for n in notes) == noted
 
-    def test_unwritable_path_raises_io_error(self, tmp_path):
+    def test_output_under_regular_file_is_config_error(self, tmp_path):
         # a parent that is a regular file is refused before any point is run
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -601,6 +602,28 @@ class TestConvergenceProbe:
         cell = table[np.flatnonzero(column == low)[0]]   # first, row-major
         high = high_at(*cell[:-1])
         assert manifest.truncation_convergence_delta == abs(high - low) / abs(low)
+
+    def test_failed_probe_is_a_note(self, tmp_path, monkeypatch):
+        # a probe that raises leaves the grid as it is: the manifest has no
+        # delta, is not converged and says why, and records no failed point
+        build = sweep.build_liouvillian
+
+        def build_base_only(params, cfg):
+            if cfg.dim > 9:
+                raise LiouvillianSizeError("refused above 3x3")
+            return build(params, cfg)
+
+        monkeypatch.setattr(sweep, "build_liouvillian", build_base_only)
+        out = tmp_path / "probe.csv"
+        run_sweep(SweepSpec(axis1=AxisSpec("delta_over_omega_b", -0.7, -0.66, 2),
+                            observable="g2_numeric", base=cw_base(),
+                            cfg=HilbertConfig(3, 3), output_path=str(out)))
+        written = json.loads(manifest_path_for(out).read_text())
+        assert written["converged"] is False
+        assert written["truncation_convergence_delta"] is None
+        assert written["notes"] == ["convergence probe failed: refused above 3x3"]
+        assert written["failures"] == []
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
 
 
 PRESETS = sorted(r.name for r in resources.files("spinpb.presets").iterdir()
