@@ -44,9 +44,9 @@ E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 (i < j), where L is the
 real matrix Re(Q L P) (``_hermitian_frame``).  That matrix is shifted by
 its trace over n to A and A's 1-norm taken once per call; a step h is
 ceil(|A h|_1 / 9.9) substeps of at most 55 real sparse matrix-vector
-products, stopped early at the unit roundoff, and each state is mapped back
-by P.  The loop yields each state as it reaches it and keeps none, so a
-delay grid of any length costs the memory of one step.
+products, stopped early at the unit roundoff.  The loop yields each state's
+real coordinates as it reaches them and keeps none, so a delay grid of any
+length costs the memory of one step.
 
 scipy is imported inside the functions that use it, so importing the package
 (and the CLI's parse-only commands) does not load it.
@@ -451,12 +451,12 @@ def mandel_q(rho: DensityMatrix, cfg: HilbertConfig) -> float:
 
 def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
                times) -> Iterator[np.ndarray]:
-    """Yield exp(L t) vec at each time of the ascending sequence ``times`` in turn.
+    """Yield Q exp(L t) vec at each time of the ascending sequence ``times`` in turn.
 
     ``vec`` is a column-stacked Hermitian matrix.  L maps those to Hermitian
     matrices, so the propagation runs on the real coordinates x = Q vec of
-    ``_hermitian_frame`` under the real generator Re(Q L P); each state is
-    mapped back as P x.  An anti-Hermitian part of ``vec`` is dropped.
+    ``_hermitian_frame`` under the real generator Re(Q L P), and yields a
+    float64 copy of x (the matrix is P x).  An anti-Hermitian part is dropped.
 
     The truncated Taylor method of Al-Mohy and Higham, SIAM J. Sci. Comput.
     33, 488 (2011), at the unit roundoff 2^-53.  The real generator is
@@ -469,12 +469,12 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     sum by exp(h mu / s).  The max norms are BLAS ``idamax`` lookups, which
     pick the same entry as max(abs(x)).
 
-    A zero step yields the vector it was given (or the state last yielded).
-    A grid whose last time needs more than 2^63 substeps, or a NaN count,
-    raises ``SolverError`` before any propagation (the loop would not
-    overflow, only run for ever); no step is longer than the last time, and
-    tr L <= 0 keeps exp(h mu / s) finite, so the loop raises nothing.  Each
-    state is yielded as it is reached and none is kept.
+    A zero step leaves x as it is: every term is 0 and exp(0) = 1.  A grid
+    whose last time needs more than 2^63 substeps, or a NaN count, raises
+    ``SolverError`` before any propagation (the loop would not overflow,
+    only run for ever); no step is longer than the last time, and tr L <= 0
+    keeps exp(h mu / s) finite, so the loop raises nothing.  Each state is
+    yielded as it is reached and none is kept.
     """
     from scipy.linalg.blas import dscal, idamax
     from scipy.sparse import eye_array
@@ -494,9 +494,6 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
     now = 0.0
     for t in times:
         h, now = t - now, t
-        if h == 0:
-            yield vec
-            continue
         s = max(1, math.ceil(norm * h / _THETA_55))
         eta = math.exp(h * mu / s)
         for _ in range(s):
@@ -513,8 +510,7 @@ def _propagate(liouvillian: Liouvillian, vec: np.ndarray,
                     break
                 previous = current
             x = dscal(eta, x)
-        vec = to_matrix @ x
-        yield vec
+        yield x.copy()
 
 
 def g2_tau(params: SystemParams, cfg: HilbertConfig,
@@ -539,7 +535,8 @@ def g2_tau(params: SystemParams, cfg: HilbertConfig,
     sigma = ops.a @ rho_ss.data @ ops.a_dag
     photons = np.arange(cfg.dim) % cfg.n_photon        # a+a = diag(photons)
     trace = []
-    for t, vec in zip(taus, _propagate(liouvillian, vectorize(sigma), taus)):
-        n_t = float(np.real(vec[::cfg.dim + 1]) @ photons)
+    # Q has a lone 1.0 at each diagonal position: x there is the diagonal
+    for t, x in zip(taus, _propagate(liouvillian, vectorize(sigma), taus)):
+        n_t = float(x[::cfg.dim + 1] @ photons)
         trace.append((float(t), n_t / n_ss**2))
     return trace

@@ -128,3 +128,8 @@ class TestHashing:
 
     def test_canonical_form_is_compact(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+    def test_unserializable_value_is_type_error(self):
+        # only numpy scalars are converted; anything else is refused
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            config_hash({"x": object()})

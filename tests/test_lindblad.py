@@ -119,9 +119,9 @@ def fock_photon_density(cfg: HilbertConfig, n: int) -> DensityMatrix:
 
 
 def propagate(liou: Liouvillian, rho: DensityMatrix, t: float) -> np.ndarray:
-    """exp(L t) rho as a matrix, by one step of ``_propagate``."""
-    vec = next(lindblad._propagate(liou, vectorize(rho.data), [t]))
-    return unvectorize(vec, liou.dim)
+    """exp(L t) rho as a matrix, by one step of ``_propagate`` mapped back by P."""
+    x = next(lindblad._propagate(liou, vectorize(rho.data), [t]))
+    return unvectorize(lindblad._hermitian_frame(liou.dim)[0] @ x, liou.dim)
 
 
 class TestBuildLiouvillian:
@@ -677,14 +677,22 @@ class TestG2Tau:
         assert peak < 100 * sigma.nbytes
 
     def test_zero_and_repeated_delays_are_exact(self, working_params, cfg55):
-        # a zero step returns the vector it was given, bit for bit
+        # every yield is real frame coordinates; a zero step returns the
+        # coordinates of the vector it was given, bit for bit
         p = working_params.replace(delta=-0.684495 * OMEGA_B,
                                    Lambda=2.46157e-6 * OMEGA_B)
         liou = build_liouvillian(p, cfg55)
         vec = vectorize(random_density(np.random.default_rng(3), cfg55.dim).data)
-        at_zero, once, again = lindblad._propagate(liou, vec, [0.0, 2e-7, 2e-7])
-        assert np.array_equal(at_zero, vec)
-        assert np.array_equal(again, once)
+        yields = list(lindblad._propagate(liou, vec, [0.0, 2e-7, 2e-7]))
+        assert all(x.dtype == np.float64 and x.shape == vec.shape for x in yields)
+        at_zero, once, again = yields
+        to_frame = lindblad._hermitian_frame(cfg55.dim)[1]
+        assert at_zero.tobytes() == (to_frame @ vec).real.tobytes()
+        assert again.tobytes() == once.tobytes()
+
+    def test_empty_grid_solves_nothing(self, monkeypatch, working_params, cfg55):
+        monkeypatch.setattr(lindblad, "steady_state", None)
+        assert g2_tau(working_params, cfg55, []) == []
 
     def test_vacuum_has_no_correlations(self, cfg55):
         with pytest.raises(UndefinedCorrelationError):

@@ -118,7 +118,8 @@ def test_evolve_matches_matrix_exponential(params, t, seed):
     cfg = HilbertConfig(3, 3)
     rho0 = random_density(np.random.default_rng(seed), cfg.dim)
     liou = build_liouvillian(params, cfg)
-    rho_t = unvectorize(next(_propagate(liou, vectorize(rho0.data), [t])), cfg.dim)
+    x = next(_propagate(liou, vectorize(rho0.data), [t]))
+    rho_t = unvectorize(_hermitian_frame(cfg.dim)[0] @ x, cfg.dim)
     exact = unvectorize(expm(liou.matrix * t) @ vectorize(rho0.data), cfg.dim)
     assert np.max(np.abs(rho_t - exact)) <= 1e-10
     DensityMatrix(rho_t).validate()
