@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--config", required=True,
                        help="system parameter JSON file (flat object)")
     p_opt.add_argument("--direction", default="both",
-                       help="cw, ccw, both, or a comma list (default: both)")
+                       help="cw, ccw or both (default: both)")
     p_opt.add_argument("--output", default="optimal.csv",
                        help="CSV destination (default: optimal.csv)")
 
@@ -48,15 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _directions(arg: str) -> list[str]:
-    tokens = [t.strip() for t in arg.split(",") if t.strip()]
-    if tokens == ["both"]:
-        return ["cw", "ccw"]
-    if not tokens:   # run_optimal rejects unknown directions
-        raise ConfigError("empty direction list")
-    return tokens
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -65,8 +56,8 @@ def main(argv=None) -> int:
             print(f"wrote {manifest.rows} rows; config hash {manifest.config_hash}")
         elif args.command == "optimal":
             params = params_from_dict(load_json(args.config))
-            manifest = run_optimal(params, _directions(args.direction),
-                                   args.output)
+            dirs = ["cw", "ccw"] if args.direction == "both" else [args.direction]
+            manifest = run_optimal(params, dirs, args.output)
             print(f"wrote {manifest.rows} rows to {args.output}")
         elif args.command == "g2tau":
             params = params_from_dict(load_json(args.config))

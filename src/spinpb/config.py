@@ -122,8 +122,8 @@ def hilbert_from_dict(raw: dict | None) -> HilbertConfig:
 def json_default(value: Any) -> Any:
     """``default`` hook of the JSON writers: a numpy scalar as its Python value.
 
-    So a run given numpy integers (``HilbertConfig`` accepts them) hashes
-    and records the same JSON as one given Python numbers.
+    So a run given numpy numbers (point counts, parameters) hashes and
+    records the same JSON as one given Python numbers.
     """
     if isinstance(value, np.generic):
         return value.item()

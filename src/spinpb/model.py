@@ -13,7 +13,6 @@ All rates and detunings are angular frequencies (rad/s).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -179,16 +178,13 @@ def _coefficients(params: SystemParams, hermitian: bool) -> np.ndarray:
     return out
 
 
-@functools.lru_cache
 def _terms(cfg: HilbertConfig) -> np.ndarray:
-    """The seven fixed operators of H, each flattened to one row (read-only)."""
+    """The seven fixed operators of H, each flattened to one row."""
     ops = embed_ops(cfg)
-    terms = np.array([ops.n_a, ops.n_m, ops.n_m @ ops.n_m,
-                      ops.a_dag @ ops.m + ops.a @ ops.m_dag,
-                      ops.a_dag @ ops.a_dag, ops.a @ ops.a,
-                      ops.a_dag + ops.a]).reshape(7, cfg.dim**2)
-    terms.flags.writeable = False
-    return terms
+    return np.array([ops.n_a, ops.n_m, ops.n_m @ ops.n_m,
+                     ops.a_dag @ ops.m + ops.a @ ops.m_dag,
+                     ops.a_dag @ ops.a_dag, ops.a @ ops.a,
+                     ops.a_dag + ops.a]).reshape(7, cfg.dim**2)
 
 
 def build_hamiltonian(params: SystemParams, cfg: HilbertConfig,

@@ -7,7 +7,7 @@ slow index.  Every module downstream relies on this ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,16 +19,18 @@ class HilbertConfig:
     """Truncation dimensions of the two-mode Fock space.
 
     Two-excitation physics needs at least levels 0, 1, 2 in each mode, so
-    both dimensions must be integers (numpy integers too) >= 3.
+    both dimensions must be integers >= 3; numpy integers are stored as
+    Python ints, so no product of them wraps.
     """
 
     n_magnon: int = 5
     n_photon: int = 5
 
     def __post_init__(self):
-        for size in (self.n_magnon, self.n_photon):
+        for name, size in asdict(self).items():
             if not isinstance(size, (int, np.integer)):
                 raise DimensionError(f"truncation must be integers, got {size!r}")
+            object.__setattr__(self, name, int(size))
         if self.n_magnon < 3 or self.n_photon < 3:
             raise DimensionError(
                 f"truncation must keep Fock levels 0..2 in each mode, got "

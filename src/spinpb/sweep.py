@@ -70,8 +70,9 @@ class AxisSpec:
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
-            return np.logspace(np.log10(self.min), np.log10(self.max), self.points)
-        return np.linspace(self.min, self.max, self.points)
+            return _grid(np.logspace, np.log10(self.min), np.log10(self.max),
+                         self.points)
+        return _grid(np.linspace, self.min, self.max, self.points)
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ class SweepSpec:
                 == resolve_unit(self.axis2.parameter, 0.0, 1.0, 1.0)[0]):
             raise ConfigError("axis1 and axis2 scan the same parameter")
         # every grid point is a valid SystemParams, as the sweep will build it
-        _at(self, np.meshgrid(*(ax.values() for ax in (self.axis1, self.axis2)
-                                if ax is not None), indexing="ij"))
+        _at(self, _grid(np.meshgrid, *(ax.values() for ax in (self.axis1, self.axis2)
+                                       if ax is not None), indexing="ij"))
         _check_output(self.output_path)
 
 
@@ -130,11 +131,21 @@ class RunManifest:
             fh.write("\n")
 
 
+def _grid(build, *args, **kwargs) -> np.ndarray:
+    """``build(*args, **kwargs)``; numpy refusing the grid's size is a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"grid too large to build: {exc}") from exc
+
+
 def _check_output(output_path) -> None:
-    """Reject a destination that is a directory or lies under a regular file.
+    """Reject a path that holds a NUL, names a directory or lies under a file.
 
     "" names the current directory; missing parents are created on write.
     """
+    if "\0" in str(output_path):
+        raise ConfigError(f"output path {str(output_path)!r} holds a NUL character")
     path = Path(output_path)
     if path.is_dir():
         raise ConfigError(f"output path '{output_path}' is a directory")
@@ -361,7 +372,7 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     if points < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
-    taus = np.linspace(0.0, tau_max, points)   # one point is tau = 0
+    taus = _grid(np.linspace, 0.0, tau_max, points)   # one point is tau = 0
     trace = _evaluate("g2_tau", params, taus, cfg)
     inputs = {"params": asdict(params), "cfg": asdict(cfg),
               "tau_max": tau_max, "points": points, "output_path": str(output_path)}

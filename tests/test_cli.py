@@ -258,26 +258,18 @@ class TestOptimalCommand:
                      "--output", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
-    def test_bad_direction(self, params_file, tmp_path):
-        assert main(["optimal", "--config", params_file,
-                     "--direction", "sideways",
-                     "--output", str(tmp_path / "x.csv")]) == 2
-
-    def test_repeated_direction_exits_two(self, params_file, tmp_path):
+    @pytest.mark.parametrize("direction", ["sideways", "cw,cw", ",", "cw,ccw"])
+    def test_bad_direction(self, params_file, tmp_path, direction):
+        """Only cw, ccw and both name directions; the rest exit before a search."""
         out = tmp_path / "x.csv"
         assert main(["optimal", "--config", params_file,
-                     "--direction", "cw,cw", "--output", str(out)]) == 2
+                     "--direction", direction, "--output", str(out)]) == 2
         assert not out.exists()
 
     def test_directory_output_exits_two(self, params_file, tmp_path, capsys):
         assert main(["optimal", "--config", params_file,
                      "--output", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
-
-    def test_empty_direction_list_exits_two(self, params_file, tmp_path, capsys):
-        assert main(["optimal", "--config", params_file, "--direction", ",",
-                     "--output", str(tmp_path / "x.csv")]) == 2
-        assert "empty direction list" in capsys.readouterr().err
 
     def test_unwritable_manifest_exits_one(self, params_file, tmp_path, capsys):
         # the CSV is written, then the manifest path is a directory
@@ -306,6 +298,14 @@ class TestG2TauCommand:
         assert main(["g2tau", "--config", params_file, "--tau-max", "1e-6",
                      "--points", "3", "--output", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
+
+    def test_oversized_grid_exits_two(self, params_file, tmp_path, capsys):
+        """A delay grid numpy refuses to allocate is a config error."""
+        out = tmp_path / "x.csv"
+        assert main(["g2tau", "--config", params_file, "--tau-max", "1e-6",
+                     "--points", str(10**23), "--output", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["validate", "sweep", "optimal", "g2tau"])

@@ -19,8 +19,9 @@ from spinpb.cli import main
 from spinpb.sweep import manifest_path_for
 from conftest import GAMMA, J, OMEGA_B
 
-# 1e80 is finite and passes validation, but as E/gamma its |c01|^4 overflows
-REPLACEMENTS = (None, True, 1, 1.5, 1e80, "x", [], {})
+# 1e80 is finite and passes validation, but as E/gamma its |c01|^4 overflows;
+# numpy refuses a grid of 10**30 points, and no file name holds a NUL
+REPLACEMENTS = (None, True, 1, 1.5, 1e80, 10**30, "x", "x\u0000", [], {})
 
 BASE = {
     "gamma": GAMMA,
@@ -112,4 +113,4 @@ def test_mutants_cover_every_key_at_every_depth():
     assert {".axis2.scale=[]", ".base.gamma=null", ".cfg.n_photon=1.5",
             ".base+unknown_key", ".cfg-n_magnon", "-axis2", "={}",
             ".axis2.max=1e+80"} <= labels
-    assert len(SPEC_MUTANTS) == 265 and len(BASE_MUTANTS) == 90
+    assert len(SPEC_MUTANTS) == 323 and len(BASE_MUTANTS) == 110

@@ -5,6 +5,7 @@ import pytest
 
 from spinpb import HilbertConfig
 from spinpb.errors import DimensionError
+from spinpb.lindblad import _generators, build_liouvillian
 from spinpb.operators import annihilation, embed_ops
 
 
@@ -99,6 +100,20 @@ class TestHilbertConfig:
     def test_accepts_numpy_integers(self):
         cfg = HilbertConfig(np.int64(3), np.int32(4))
         assert cfg == HilbertConfig(3, 4) and cfg.dim == 12
+
+    def test_numpy_integers_are_stored_as_ints(self, working_params, cfg55):
+        """Narrow numpy sizes would wrap the products dim and dim**2."""
+        cfg = HilbertConfig(np.int8(20), np.int8(20))
+        assert cfg.dim == 400
+        assert type(cfg.n_magnon) is int and type(cfg.n_photon) is int
+        # equal configs share one cached table, so each build starts afresh
+        _generators.cache_clear()
+        narrow = build_liouvillian(working_params,
+                                   HilbertConfig(np.uint8(5), np.uint8(5)))
+        _generators.cache_clear()
+        wide = build_liouvillian(working_params, cfg55)
+        np.testing.assert_array_equal(narrow.generator.toarray(),
+                                      wide.generator.toarray())
 
     def test_basis_index_bounds(self):
         cfg = HilbertConfig(3, 4)
