@@ -21,7 +21,6 @@ from .analytic import (
 from .errors import ConfigError, SolverError
 from .lindblad import build_liouvillian, g2_tau, g2_zero, mandel_q, steady_state
 from .model import (
-    DriveDirection,
     SpinGeometry,
     SystemParams,
     build_hamiltonian,
@@ -34,7 +33,6 @@ from .sweep import AxisSpec, SweepSpec, run_g2tau, run_optimal, run_sweep
 __all__ = [
     "AxisSpec",
     "ConfigError",
-    "DriveDirection",
     "HilbertConfig",
     "SolverError",
     "SpinGeometry",

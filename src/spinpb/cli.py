@@ -10,6 +10,7 @@ import sys
 
 from .config import hilbert_from_dict, load_json, params_from_dict
 from .errors import ConfigError, SolverError
+from .model import DIRECTION_SIGN
 from .sweep import run_g2tau, run_optimal, run_sweep, sweep_spec_from_dict
 
 
@@ -56,7 +57,8 @@ def main(argv=None) -> int:
             print(f"wrote {manifest.rows} rows; config hash {manifest.config_hash}")
         elif args.command == "optimal":
             params = params_from_dict(load_json(args.config))
-            dirs = ["cw", "ccw"] if args.direction == "both" else [args.direction]
+            dirs = (list(DIRECTION_SIGN) if args.direction == "both"
+                    else [args.direction])
             manifest = run_optimal(params, dirs, args.output)
             print(f"wrote {manifest.rows} rows to {args.output}")
         elif args.command == "g2tau":

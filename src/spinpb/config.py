@@ -140,11 +140,24 @@ def config_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; a key given twice is a ValueError, not an override."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_json(path) -> dict:
-    """JSON from ``path``; a failure to read or decode it is a ConfigError."""
+    """JSON from ``path``; a failure to read or decode it is a ConfigError.
+
+    So is a key given twice in one object: JSON would keep the last value.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:   # bad syntax, bytes, digits; nesting

@@ -12,7 +12,6 @@ All rates and detunings are angular frequencies (rad/s).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -22,11 +21,8 @@ from .errors import ConfigError
 from .operators import HilbertConfig, embed_ops
 
 
-class DriveDirection(enum.Enum):
-    """Input direction of the drive; fixes the sign of the Sagnac shift."""
-
-    CW = "cw"
-    CCW = "ccw"
+# Sign of the Sagnac shift per drive direction: clockwise +, counter-clockwise -
+DIRECTION_SIGN = {"cw": 1.0, "ccw": -1.0}
 
 
 @dataclass(frozen=True)
@@ -131,14 +127,15 @@ class SystemParams:
         return SystemParams(**{**vars(self), **changes})
 
 
-def sagnac_shift(geom: SpinGeometry, omega_rot: float,
-                 direction: DriveDirection) -> float:
+def sagnac_shift(geom: SpinGeometry, omega_rot: float, direction: str) -> float:
     """Rotation-induced frequency shift of the driven counter-propagating mode.
 
     Returns +/- Omega * (n r omega_a / c) * (1 - 1/n^2 - (lambda/n) dn/dlambda),
-    positive for CW drive, negative for CCW.  A shift that is not finite (a
-    non-finite omega_rot, or an overflow) raises ``ConfigError``.
+    positive for direction "cw", negative for "ccw".  Any other direction, or a
+    shift that is not finite (non-finite omega_rot, overflow), is a ``ConfigError``.
     """
+    if not isinstance(direction, str) or direction not in DIRECTION_SIGN:
+        raise ConfigError(f"direction must be cw or ccw, got {direction!r}")
     try:
         magnitude = omega_rot * geom.n_index * geom.radius * geom.omega_a / geom.c
         magnitude *= (1.0 - 1.0 / geom.n_index**2
@@ -147,7 +144,7 @@ def sagnac_shift(geom: SpinGeometry, omega_rot: float,
         magnitude = math.inf
     if not math.isfinite(magnitude):
         raise ConfigError(f"Sagnac shift at omega_rot = {omega_rot!r} is not finite")
-    return magnitude if direction is DriveDirection.CW else -magnitude
+    return DIRECTION_SIGN[direction] * magnitude
 
 
 def effective_kerr(K0: float, g: float, omega_b: float) -> float:

@@ -38,7 +38,7 @@ from .config import (
 )
 from .errors import ConfigError, SolverError
 from .lindblad import build_liouvillian, g2_tau, g2_zero, mandel_q, steady_state
-from .model import SystemParams
+from .model import DIRECTION_SIGN, SystemParams
 from .operators import HilbertConfig
 
 CONVERGENCE_BOUND = 1e-4   # relative change allowed from one extra Fock level
@@ -142,13 +142,17 @@ def _grid(build, *args, **kwargs) -> np.ndarray:
 def _check_output(output_path) -> None:
     """Reject a path that holds a NUL, names a directory or lies under a file.
 
-    "" names the current directory; missing parents are created on write.
+    The manifest path beside it must not be a directory either, so a run
+    never writes a CSV it cannot give a manifest.  "" names the current
+    directory; missing parents are created on write.
     """
     if "\0" in str(output_path):
         raise ConfigError(f"output path {str(output_path)!r} holds a NUL character")
     path = Path(output_path)
     if path.is_dir():
         raise ConfigError(f"output path '{output_path}' is a directory")
+    if manifest_path_for(path).is_dir():
+        raise ConfigError(f"manifest path '{manifest_path_for(path)}' is a directory")
     parent = next((p for p in path.parents if p.exists()), None)
     if parent is not None and not parent.is_dir():
         raise ConfigError(f"output path '{output_path}' lies under '{parent}',"
@@ -326,18 +330,18 @@ def run_optimal(params: SystemParams, directions: list[str],
                 output_path) -> RunManifest:
     """Root-search per drive direction; CSV of the located optimal pairs.
 
-    Directions are 'cw' (delta_F = +|delta_F|) or 'ccw' (delta_F =
-    -|delta_F|), each at most once.  The search box is the fixed one of
+    Directions are keys of ``DIRECTION_SIGN`` ('cw' runs at +|delta_F|, 'ccw'
+    at -|delta_F|), each at most once.  The search box is the fixed one of
     ``find_optimal_pairs``, hashed with the inputs.  A direction with no root
     in the box emits one warning row of NaNs rather than failing.
     """
     _check_output(output_path)
     t0 = time.monotonic()
-    if set(directions) - {"cw", "ccw"} or len(set(directions)) < len(directions):
+    if len(set(directions) & DIRECTION_SIGN.keys()) < len(directions):
         raise ConfigError(f"directions must be distinct cw or ccw, got {directions}")
     rows, failures = [], []
     for direction in directions:
-        shift = abs(params.delta_F) if direction == "cw" else -abs(params.delta_F)
+        shift = DIRECTION_SIGN[direction] * abs(params.delta_F)
         point = params.replace(delta_F=shift)
         pairs = find_optimal_pairs(point)
         if not pairs:

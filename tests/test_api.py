@@ -9,8 +9,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # a new export is a deliberate edit to this list
 PUBLIC = [
-    "AxisSpec", "ConfigError", "DriveDirection", "HilbertConfig", "SolverError",
-    "SpinGeometry", "SweepSpec", "SystemParams", "build_hamiltonian",
+    "AxisSpec", "ConfigError", "HilbertConfig", "SolverError", "SpinGeometry",
+    "SweepSpec", "SystemParams", "build_hamiltonian",
     "build_liouvillian", "effective_kerr", "find_optimal_pairs",
     "g2_analytic", "g2_tau", "g2_zero", "mandel_q", "run_g2tau",
     "run_optimal", "run_sweep", "sagnac_shift", "steady_amplitudes",

@@ -95,6 +95,22 @@ class TestValidate:
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("key", ["E", "E_over_gamma"])
+    def test_repeated_parameter_key_is_config_error(self, tmp_path, capsys, key):
+        """JSON keeps the last of two values; the config refuses both."""
+        path = tmp_path / "twice.json"
+        path.write_text('{"gamma": 1.0, "omega_b": 20.0, '
+                        f'"{key}": 0.01, "{key}": 5.0}}')
+        assert main(["validate", "--config", str(path)]) == 2
+        assert f"key '{key}' is given twice" in capsys.readouterr().err
+
+    def test_repeated_axis_key_is_config_error(self, sweep_file, capsys):
+        path = Path(sweep_file)
+        path.write_text(path.read_text().replace('"points": 5',
+                                                 '"points": 5, "points": 7'))
+        assert main(["validate", "--spec", sweep_file]) == 2
+        assert "key 'points' is given twice" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_end_to_end(self, sweep_file, tmp_path, capsys):
@@ -271,13 +287,12 @@ class TestOptimalCommand:
                      "--output", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
 
-    def test_unwritable_manifest_exits_one(self, params_file, tmp_path, capsys):
-        # the CSV is written, then the manifest path is a directory
-        out = tmp_path / "opt.csv"
-        (tmp_path / "opt.csv.manifest.json").mkdir()
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_error_exits_one(self, params_file, capsys):
+        # /dev/full opens, then refuses every write with ENOSPC
         assert main(["optimal", "--config", params_file, "--direction", "cw",
-                     "--output", str(out)]) == 1
-        assert "I/O error: [Errno 21] Is a directory" in capsys.readouterr().err
+                     "--output", "/dev/full"]) == 1
+        assert "I/O error: [Errno 28]" in capsys.readouterr().err
 
 
 class TestG2TauCommand:
@@ -329,6 +344,26 @@ def test_output_under_regular_file_exits_two(tmp_path, params_file, capsys,
     assert main(argv) == 2
     assert "which is not a directory" in capsys.readouterr().err
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "sweep", "optimal", "g2tau"])
+def test_directory_at_manifest_path_exits_two(tmp_path, params_file, sweep_file,
+                                              capsys, command):
+    """A run that could write its CSV but not the manifest is refused first."""
+    out = tmp_path / "out.csv"    # sweep_file's output_path
+    (tmp_path / "out.csv.manifest.json").mkdir()
+    argv = {
+        "validate": ["validate", "--spec", sweep_file],
+        "sweep": ["sweep", "--spec", sweep_file],
+        "optimal": ["optimal", "--config", params_file, "--direction", "cw",
+                    "--output", str(out)],
+        "g2tau": ["g2tau", "--config", params_file, "--tau-max", "1e-6",
+                  "--points", "3", "--output", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "manifest path" in err and "is a directory" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimal", "g2tau"])

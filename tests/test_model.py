@@ -5,7 +5,6 @@ import pytest
 
 from spinpb import (
     ConfigError,
-    DriveDirection,
     HilbertConfig,
     SpinGeometry,
     SystemParams,
@@ -21,11 +20,11 @@ GEOM = SpinGeometry(n_index=1.4, radius=30e-6, wavelength=1550e-9,
 
 class TestSagnacShift:
     def test_no_rotation_no_shift(self):
-        assert sagnac_shift(GEOM, 0.0, DriveDirection.CW) == 0.0
+        assert sagnac_shift(GEOM, 0.0, "cw") == 0.0
 
     def test_direction_antisymmetry(self):
-        cw = sagnac_shift(GEOM, 2 * np.pi * 5e3, DriveDirection.CW)
-        ccw = sagnac_shift(GEOM, 2 * np.pi * 5e3, DriveDirection.CCW)
+        cw = sagnac_shift(GEOM, 2 * np.pi * 5e3, "cw")
+        ccw = sagnac_shift(GEOM, 2 * np.pi * 5e3, "ccw")
         assert cw == -ccw
         assert cw > 0
 
@@ -35,7 +34,7 @@ class TestSagnacShift:
         n, r, lam, c, wa, dn = (GEOM.n_index, GEOM.radius, GEOM.wavelength,
                                 GEOM.c, GEOM.omega_a, GEOM.dn_dlambda)
         expected = omega_rot * n * r * wa / c * (1 - 1 / n**2 - lam / n * dn)
-        got = sagnac_shift(GEOM, omega_rot, DriveDirection.CW)
+        got = sagnac_shift(GEOM, omega_rot, "cw")
         assert abs(got - expected) < 1e-12 * abs(expected)
 
     def test_dispersion_term(self):
@@ -45,8 +44,14 @@ class TestSagnacShift:
         n, lam = geom.n_index, geom.wavelength
         expected = omega_rot * n * geom.radius * geom.omega_a / geom.c \
             * (1 - 1 / n**2 - lam / n * geom.dn_dlambda)
-        assert abs(sagnac_shift(geom, omega_rot, DriveDirection.CW)
+        assert abs(sagnac_shift(geom, omega_rot, "cw")
                    - expected) < 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("direction", [None, "CW", "sideways", 1])
+    def test_rejects_unknown_direction(self, direction):
+        """Only "cw" and "ccw" have a sign; anything else is not a CCW drive."""
+        with pytest.raises(ConfigError, match="direction must be"):
+            sagnac_shift(GEOM, 1e4, direction)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigError):
@@ -69,7 +74,7 @@ class TestSagnacShift:
         geom = SpinGeometry(n_index=n_index, radius=30e-6, wavelength=1550e-9,
                             omega_a=GEOM.omega_a)
         with pytest.raises(ConfigError, match="not finite"):
-            sagnac_shift(geom, omega_rot, DriveDirection.CW)
+            sagnac_shift(geom, omega_rot, "cw")
 
 
 class TestEffectiveKerr:

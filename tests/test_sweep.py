@@ -12,6 +12,7 @@ from spinpb import (
     ConfigError,
     HilbertConfig,
     SolverError,
+    SpinGeometry,
     SweepSpec,
     SystemParams,
     build_liouvillian,
@@ -22,6 +23,7 @@ from spinpb import (
     run_g2tau,
     run_optimal,
     run_sweep,
+    sagnac_shift,
     steady_state,
 )
 from spinpb.config import config_hash, params_from_dict
@@ -418,6 +420,20 @@ class TestRunOptimal:
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "nan"
         assert manifest.failures
+
+    def test_shares_the_sign_rule_of_sagnac_shift(self, tmp_path, working_params):
+        """A cw run of a CCW-signed delta_F lands on the CW Sagnac shift."""
+        geom = SpinGeometry(n_index=1.4, radius=30e-6, wavelength=1550e-9,
+                            omega_a=2 * np.pi * 193.4e12)
+        omega_rot = 2 * np.pi * 3.3e3    # |shift| near 0.5 gamma
+        params = working_params.replace(
+            delta_F=sagnac_shift(geom, omega_rot, "ccw"))
+        out = tmp_path / "cw.csv"
+        run_optimal(params, ["cw"], out)
+        expected = sagnac_shift(geom, omega_rot, "cw") / working_params.gamma
+        assert expected > 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert len(rows) == 2 and np.all(rows[:, 0] == expected)
 
     def test_unknown_direction(self, tmp_path, working_params):
         with pytest.raises(ConfigError):
