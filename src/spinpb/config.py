@@ -45,9 +45,9 @@ def _number(value: Any, key: str) -> float:
 
 
 def _integer(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _string(value: Any, key: str) -> str:

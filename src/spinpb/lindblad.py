@@ -81,7 +81,7 @@ _MAX_SUPER_DIM = 10_000       # refuse Liouvillians larger than this (dim^2)
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIGENVALUE_FLOOR = -1e-8
-_STEADY_RESIDUAL_TOL = 1e-10  # relative to the Liouvillian norm
+_STEADY_RESIDUAL_TOL = 1e-10  # relative to the largest entry max|L_ij|
 _POPULATION_FLOOR = 1e-300
 _MAX_SWEEPS = 100             # sector sweeps before the direct solve takes over
 _STALL_SWEEPS = 10            # sweeps without halving the largest unsettled step
@@ -245,7 +245,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     not settled fails to halve in 10 sweeps) or 100 sweeps do not meet the
     rule, ``_direct_solve`` builds the whole S and solves it directly.
     The result is Hermitized, checked against the residual bound
-    |L vec(rho)|_inf < 1e-10 |L|_inf, and validated as a density matrix
+    |L vec(rho)|_inf <= 1e-10 max|L_ij|, and validated as a density matrix
     (``SolverError`` if it is not one).
     """
     L = liouvillian.generator
@@ -259,7 +259,7 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     if not residual <= _STEADY_RESIDUAL_TOL * norm:   # a NaN residual fails
         raise NonUniqueSteadyStateError(
             f"steady-state residual {residual:.2e} exceeds {_STEADY_RESIDUAL_TOL:.0e}"
-            f" x |L| = {_STEADY_RESIDUAL_TOL * norm:.2e}")
+            f" x max|L_ij| = {_STEADY_RESIDUAL_TOL * norm:.2e}")
     state = DensityMatrix(rho)
     state.validate()
     return state

@@ -57,10 +57,12 @@ class AxisSpec:
     def __post_init__(self):
         if self.parameter not in SPELLINGS | {"tau"}:
             raise ConfigError(f"unknown axis parameter '{self.parameter}'")
-        if self.points < 2:
+        _number(self.min, "min")   # finite, so NaN and inf fail here
+        _number(self.max, "max")
+        if _integer(self.points, "points") < 2:
             raise ConfigError("axis needs at least 2 points")
-        if not -np.inf < self.min < self.max < np.inf:   # also rejects NaN
-            raise ConfigError("axis must have finite min < max")
+        if not self.min < self.max:
+            raise ConfigError("axis must have min < max")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"axis scale must be linear|log, got '{self.scale}'")
         if self.scale == "log" and self.min <= 0:
@@ -159,19 +161,22 @@ def _check_output(output_path) -> None:
                           " which is not a directory")
 
 
-def _at(spec: SweepSpec, coords) -> SystemParams:
-    """The parameter point at one coordinate (a value or an array) per axis.
+def _at(spec: SweepSpec, coords) -> tuple[SystemParams, object]:
+    """(point, delays) at one coordinate (a value or an array) per axis.
 
     axis1 is applied first, so an ``_over_gamma`` or ``_over_omega_b`` axis2
-    is scaled by the gamma or omega_b that axis1 left; tau is skipped.
+    is scaled by the gamma or omega_b that axis1 left.  ``delays`` is the tau
+    coordinate (an array or a scalar), None without a tau axis.
     """
-    point = spec.base
+    point, delays = spec.base, None
     for ax, coord in zip((spec.axis1, spec.axis2), coords):
-        if ax.parameter != "tau":
+        if ax.parameter == "tau":
+            delays = coord
+        else:
             name, value = resolve_unit(ax.parameter, coord, point.gamma,
                                        point.omega_b)
             point = point.replace(**{name: value})
-    return point
+    return point, delays
 
 
 def _evaluate(observable: str, point: SystemParams, delays,
@@ -182,7 +187,7 @@ def _evaluate(observable: str, point: SystemParams, delays,
     array-valued ``point``, and g2_numeric and mandel_q one value.
     """
     if observable == "g2_tau":
-        return np.array([g for _t, g in g2_tau(point, cfg, delays)])
+        return np.array([g for _t, g in g2_tau(point, cfg, np.atleast_1d(delays))])
     if observable == "g2_analytic":
         return g2_analytic(point)
     extract = g2_zero if observable == "g2_numeric" else mandel_q
@@ -195,8 +200,8 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     The grid has one dimension per axis.  g2_analytic is solved one line of
     the last axis per array-valued call, g2_tau one delay trace per line of
     its tau axis, and g2_numeric and mandel_q one steady state per cell, so a
-    failed cell costs no other.  Each block's point is ``_at`` of its own
-    coordinates.  A g2_analytic line that fails is redone one cell at a
+    failed cell costs no other.  Each block's point and delays are ``_at``
+    of its coordinates.  A g2_analytic line that fails is redone one cell at a
     time; a g2_tau line that fails (one steady state) fails at every delay.
     Each failed cell is NaN with one failure record giving every axis's
     index and value.
@@ -206,7 +211,6 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     grid = np.full([len(v) for v in values], np.nan)
     k = next((n for n, ax in enumerate(axes) if ax.parameter == "tau"),
              len(axes) - 1)   # the line axis
-    delays = values[k] if spec.observable == "g2_tau" else None
     if spec.observable in ("g2_analytic", "g2_tau"):   # every line along k
         todo = [i[:k] + (slice(None),) + i[k:]
                 for i in np.ndindex(grid.shape[:k] + grid.shape[k + 1:])]
@@ -215,8 +219,8 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     errors = {}
     for block in todo:   # a failed g2_analytic line appends its cells
         try:
-            grid[block] = _evaluate(spec.observable, _at(spec, [
-                v[b] for v, b in zip(values, block)]), delays, spec.cfg)
+            grid[block] = _evaluate(spec.observable, *_at(spec, [
+                v[b] for v, b in zip(values, block)]), spec.cfg)
         except SolverError as exc:
             line = isinstance(block[k], slice)
             cells = [block[:k] + (i,) + block[k + 1:]
@@ -235,32 +239,29 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     return values, grid, failures
 
 
-def _probe(observable: str, cfg: HilbertConfig, names: list, values: list,
-           grid: np.ndarray, at) -> tuple[float | None, bool, list]:
+def _probe(observable: str, cfg: HilbertConfig, values: list,
+           grid: np.ndarray, at) -> tuple[float | None, list]:
     """Redo the most sensitive cell with one extra Fock level per mode.
 
     That is the first smallest finite cell in row-major order, recomputed by
-    one ``_evaluate`` call at its point ``at(coords)`` and its delay, at
-    (n_magnon + 1) x (n_photon + 1).  Returns the relative change, whether
-    it is below ``CONVERGENCE_BOUND``, and notes; g2_analytic has no
-    truncation, so its delta is 0.
+    one ``_evaluate`` call at its (point, delays) ``at(coords)``, at
+    (n_magnon + 1) x (n_photon + 1).  Returns the relative change (None if
+    not checkable) and notes; g2_analytic has no truncation, so its delta is 0.
     """
     if observable == "g2_analytic":
-        return 0.0, True, ["analytic observable: truncation-free, delta is 0"]
+        return 0.0, ["analytic observable: truncation-free, delta is 0"]
     finite = np.isfinite(grid)
     if not finite.any():
-        return None, False, ["no finite grid point; convergence not checkable"]
+        return None, ["no finite grid point; convergence not checkable"]
     index = np.unravel_index(np.argmin(np.where(finite, grid, np.inf)), grid.shape)
     coords = [v[i] for v, i in zip(values, index)]
-    delays = [coords[names.index("tau")]] if observable == "g2_tau" else None
     cfg_hi = HilbertConfig(cfg.n_magnon + 1, cfg.n_photon + 1)
     try:
-        high = _evaluate(observable, at(coords), delays, cfg_hi)
+        high = _evaluate(observable, *at(coords), cfg_hi)
     except SolverError as exc:
-        return None, False, [f"convergence probe failed: {exc}"]
+        return None, [f"convergence probe failed: {exc}"]
     high, low = float(np.ravel(high)[0]), float(grid[index])
-    delta = abs(high - low) / max(abs(low), 1e-300)
-    return delta, delta < CONVERGENCE_BOUND, []
+    return abs(high - low) / max(abs(low), 1e-300), []
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
@@ -274,15 +275,16 @@ def _write_csv(path: Path, header: list[str], table) -> None:
 
 
 def _finish(output_path, header: list[str], table, failures: list,
-            check: tuple[float | None, bool, list], observable: str,
+            check: tuple[float | None, list], observable: str,
             params: SystemParams, points: SystemParams,
             cfg: HilbertConfig | None, inputs: dict, t0: float) -> RunManifest:
-    """Write the CSV and its manifest; ``check`` is (delta, converged, notes).
+    """Write the CSV and its manifest; ``check`` is (delta, notes).
 
+    The run is converged when ``delta`` is below ``CONVERGENCE_BOUND``.
     ``points`` (arrays for a grid) are checked for the weak-drive flag, and
     ``inputs``, the run's parsed inputs, are hashed.
     """
-    delta, converged, notes = check
+    delta, notes = check
     if np.any(points.weak_drive_warning):
         notes = notes + ["weak-drive flag: E > 0.1 gamma, the excitation "
                          "hierarchy may not hold"]
@@ -294,7 +296,7 @@ def _finish(output_path, header: list[str], table, failures: list,
         timestamp=datetime.now(timezone.utc).isoformat(),
         duration_s=time.monotonic() - t0,
         truncation_convergence_delta=delta,
-        converged=converged,
+        converged=delta is not None and delta < CONVERGENCE_BOUND,
         observable=observable,
         params_rad_per_s=asdict(params),
         params_reduced=params_reduced_dict(params),
@@ -318,11 +320,10 @@ def run_sweep(spec: SweepSpec) -> RunManifest:
     coords = np.meshgrid(*values, indexing="ij")
     header = ["axis1_value", "axis2_value"][:len(values)] + ["observable_value"]
     table = np.column_stack([c.ravel() for c in coords] + [grid.ravel()])
-    names = [ax.parameter for ax in (spec.axis1, spec.axis2) if ax is not None]
-    check = _probe(spec.observable, spec.cfg, names, values, grid,
+    check = _probe(spec.observable, spec.cfg, values, grid,
                    lambda point_coords: _at(spec, point_coords))
     return _finish(spec.output_path, header, table, failures, check,
-                   spec.observable, spec.base, _at(spec, coords), spec.cfg,
+                   spec.observable, spec.base, _at(spec, coords)[0], spec.cfg,
                    asdict(spec), t0)
 
 
@@ -337,7 +338,8 @@ def run_optimal(params: SystemParams, directions: list[str],
     """
     _check_output(output_path)
     t0 = time.monotonic()
-    if len(set(directions) & DIRECTION_SIGN.keys()) < len(directions):
+    named = {d for d in directions if isinstance(d, str)} & DIRECTION_SIGN.keys()
+    if len(named) < len(directions):
         raise ConfigError(f"directions must be distinct cw or ccw, got {directions}")
     rows, failures = [], []
     for direction in directions:
@@ -353,7 +355,7 @@ def run_optimal(params: SystemParams, directions: list[str],
         for pair in pairs:
             rows.append((shift / params.gamma, pair.delta_opt / params.omega_b,
                          pair.lambda_opt / params.omega_b, pair.residual))
-    check = (0.0, True, ["pair search is analytic: truncation-free, delta is 0"])
+    check = (0.0, ["pair search is analytic: truncation-free, delta is 0"])
     inputs = {"params": asdict(params), "directions": directions,
               "delta_range": _DELTA_RANGE, "lambda_range": _LAMBDA_RANGE,
               "output_path": str(output_path)}
@@ -373,7 +375,7 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     _check_output(output_path)
     if not 0 < tau_max < np.inf:
         raise ConfigError("tau_max must be positive and finite")
-    if points < 1:
+    if _integer(points, "points") < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
     taus = _grid(np.linspace, 0.0, tau_max, points)   # one point is tau = 0
@@ -381,8 +383,8 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     inputs = {"params": asdict(params), "cfg": asdict(cfg),
               "tau_max": tau_max, "points": points, "output_path": str(output_path)}
     return _finish(output_path, ["tau", "g2"], np.column_stack([taus, trace]), [],
-                   _probe("g2_tau", cfg, ["tau"], [taus], trace,
-                          lambda _coords: params),
+                   _probe("g2_tau", cfg, [taus], trace,
+                          lambda coords: (params, coords[0])),
                    "g2_tau", params, params, cfg, inputs, t0)
 
 

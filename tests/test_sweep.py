@@ -69,6 +69,11 @@ class TestAxisSpec:
         dict(parameter="delta", min=float("nan"), max=1.0, points=3),
         dict(parameter="delta", min=0.0, max=float("inf"), points=3),
         dict(parameter="delta", min=-float("inf"), max=1.0, points=3),
+        dict(parameter="delta", min="0", max=1, points=3),
+        dict(parameter="delta", min=0, max=[1], points=3),
+        dict(parameter="delta", min=-1, max=1, points=2.5),
+        dict(parameter="delta", min=0, max=1, points="5"),
+        dict(parameter="delta", min=0, max=1, points=np.float64(3)),
     ])
     def test_rejects_bad_axes(self, kw):
         with pytest.raises(ConfigError):
@@ -444,6 +449,12 @@ class TestRunOptimal:
             run_optimal(working_params, ["cw", "cw"], tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("direction", [["cw"], {"cw": 1}])
+    def test_non_string_direction(self, tmp_path, working_params, direction):
+        with pytest.raises(ConfigError, match="distinct"):
+            run_optimal(working_params, [direction], tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestConfigHash:
     """The manifest's hash identifies the inputs each command parsed."""
@@ -548,6 +559,13 @@ class TestRunG2Tau:
         with pytest.raises(ConfigError):
             run_g2tau(cw_base(), cfg55, tau_max=1e-6, points=0,
                       output_path=tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("points", [2.5, "3", np.float64(3)])
+    def test_mistyped_points_rejected(self, tmp_path, points):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            run_g2tau(cw_base(), HilbertConfig(3, 3), tau_max=1e-6,
+                      points=points, output_path=tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestConvergenceProbe:
