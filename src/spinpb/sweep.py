@@ -3,8 +3,9 @@
 A sweep evaluates one observable over a 1-D or 2-D grid, row-major with
 axis1 outermost, and writes full-precision CSV plus a JSON manifest with
 provenance (config hash, tool version, timing) and a truncation-convergence
-check.  The grid is a float array, filled one line or cell at a time (see
-``_grid_results``) and written and probed straight from that array.  Every
+check.  The grid is a float array, filled one block at a time (a run of
+g2_analytic cells, a delay line or one steady state; see ``_grid_results``)
+and written and probed straight from that array.  Every
 parameter point is built by ``_at`` and every engine call is in
 ``_evaluate``; a ``SweepSpec`` builds every grid point when made, so
 ``validate`` rejects what ``sweep`` would.  Evaluation is
@@ -42,6 +43,8 @@ from .model import DIRECTION_SIGN, SystemParams
 from .operators import HilbertConfig
 
 CONVERGENCE_BOUND = 1e-4   # relative change allowed from one extra Fock level
+ANALYTIC_BLOCK = 1024      # most cells per g2_analytic call: bounds its memory
+CSV_BLOCK = 1024           # rows of the CSV formatted and written at once
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,8 @@ class AxisSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        _string(self.parameter, "parameter")   # so a list fails here, not as
+        _string(self.scale, "scale")           # an unhashable set member
         if self.parameter not in SPELLINGS | {"tau"}:
             raise ConfigError(f"unknown axis parameter '{self.parameter}'")
         _number(self.min, "min")   # finite, so NaN and inf fail here
@@ -197,38 +202,43 @@ def _evaluate(observable: str, point: SystemParams, delays,
 def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     """Evaluate the grid; returns (axis values, grid, failures).
 
-    The grid has one dimension per axis.  g2_analytic is solved one line of
-    the last axis per array-valued call, g2_tau one delay trace per line of
-    its tau axis, and g2_numeric and mandel_q one steady state per cell, so a
-    failed cell costs no other.  Each block's point and delays are ``_at``
-    of its coordinates.  A g2_analytic line that fails is redone one cell at a
-    time; a g2_tau line that fails (one steady state) fails at every delay.
-    Each failed cell is NaN with one failure record giving every axis's
-    index and value.
+    The grid has one dimension per axis.  g2_analytic is solved over runs of
+    at most ``ANALYTIC_BLOCK`` consecutive row-major cells per array-valued
+    call, g2_tau one delay trace per line of its tau axis, and g2_numeric and
+    mandel_q one steady state per cell, so a failed cell costs no other.  Each
+    block's point and delays are ``_at`` of its coordinates.  A g2_analytic
+    run that fails is halved until each failing cell is alone; a g2_tau line
+    that fails (one steady state) fails at every delay.  Each failed cell is
+    NaN with one failure record giving every axis's index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     values = [ax.values() for ax in axes]
     grid = np.full([len(v) for v in values], np.nan)
-    k = next((n for n, ax in enumerate(axes) if ax.parameter == "tau"),
-             len(axes) - 1)   # the line axis
-    if spec.observable in ("g2_analytic", "g2_tau"):   # every line along k
+    k = next((n for n, ax in enumerate(axes) if ax.parameter == "tau"), None)
+    if spec.observable == "g2_analytic":   # index arrays of each run of cells
+        cells = np.unravel_index(np.arange(grid.size), grid.shape)
+        todo = [tuple(c[start:start + ANALYTIC_BLOCK] for c in cells)
+                for start in range(0, grid.size, ANALYTIC_BLOCK)]
+    elif spec.observable == "g2_tau":   # every line along the tau axis k
         todo = [i[:k] + (slice(None),) + i[k:]
                 for i in np.ndindex(grid.shape[:k] + grid.shape[k + 1:])]
     else:
         todo = list(np.ndindex(grid.shape))
     errors = {}
-    for block in todo:   # a failed g2_analytic line appends its cells
+    for block in todo:   # a failed g2_analytic run appends its two halves
         try:
             grid[block] = _evaluate(spec.observable, *_at(spec, [
                 v[b] for v, b in zip(values, block)]), spec.cfg)
         except SolverError as exc:
-            line = isinstance(block[k], slice)
-            cells = [block[:k] + (i,) + block[k + 1:]
-                     for i in range(grid.shape[k])] if line else [block]
-            if line and spec.observable == "g2_analytic":
-                todo += cells
-            else:   # a cell, or a g2_tau line: one steady state, one trace
-                errors.update(dict.fromkeys(cells, exc))
+            if spec.observable == "g2_tau":   # one steady state, one trace
+                errors.update(dict.fromkeys([block[:k] + (i,) + block[k + 1:]
+                                             for i in range(grid.shape[k])], exc))
+            elif spec.observable == "g2_analytic" and len(block[0]) > 1:
+                half = len(block[0]) // 2
+                todo += [tuple(b[:half] for b in block),
+                         tuple(b[half:] for b in block)]
+            else:   # one cell, held as ints or as one-element index arrays
+                errors[tuple(np.ravel(block).tolist())] = exc
     failures = []
     for index, error in sorted(errors.items()):   # row-major, as the CSV
         record = {}
@@ -265,13 +275,32 @@ def _probe(observable: str, cfg: HilbertConfig, values: list,
 
 
 def _write_csv(path: Path, header: list[str], table) -> None:
-    """Write ``table`` (rows of floats) with every value in '%.17g'."""
+    """Write ``table`` (rows of floats) with every value in '%.17g'.
+
+    Per block of ``CSV_BLOCK`` rows each column's distinct bit patterns are
+    formatted once, so a repeated axis value costs one conversion.  Bits,
+    not values, are compared: 0.0 and -0.0 are equal but print differently.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    template = ",".join(["%.17g"] * len(header)) + "\n"
+    # reshaped, as an empty list of rows is a 1-D array
+    table = np.asarray(table, dtype=float).reshape(len(table), len(header))
+    template = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in np.asarray(table, dtype=float):   # no formatted copy is held
-            fh.write(template % tuple(row.tolist()))
+        # only one block's text is held: about 0.3 kB per row of three
+        # columns, 0.3 MB for a whole block
+        for start in range(0, len(table), CSV_BLOCK):
+            block = table[start:start + CSV_BLOCK]
+            text = np.stack([_formatted(column) for column in block.T], axis=1)
+            fh.write((template * len(block)) % tuple(text.ravel().tolist()))
+
+
+def _formatted(column: np.ndarray) -> np.ndarray:
+    """'%.17g' of each value of ``column``, one conversion per bit pattern."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()],
+                    dtype=object)
+    return text[inverse]
 
 
 def _finish(output_path, header: list[str], table, failures: list,
@@ -373,8 +402,8 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     parameter point.
     """
     _check_output(output_path)
-    if not 0 < tau_max < np.inf:
-        raise ConfigError("tau_max must be positive and finite")
+    if not _number(tau_max, "tau_max") > 0:   # finite, so inf and NaN fail
+        raise ConfigError("tau_max must be positive")
     if _integer(points, "points") < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()

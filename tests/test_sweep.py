@@ -79,6 +79,15 @@ class TestAxisSpec:
         with pytest.raises(ConfigError):
             AxisSpec(**kw)
 
+    @pytest.mark.parametrize("kw", [dict(parameter=["delta"]),
+                                    dict(parameter=None),
+                                    dict(parameter="delta", scale=["log"])])
+    def test_mistyped_name_or_scale_rejected(self, kw):
+        # a list is not hashable: it must fail as a config error, not in the
+        # lookup among the known spellings
+        with pytest.raises(ConfigError, match="must be a string"):
+            AxisSpec(**{"min": 0, "max": 1, "points": 3, **kw})
+
 
 class TestSweepSpecValidation:
     def test_tau_axis_needs_g2_tau(self, tmp_path):
@@ -404,6 +413,162 @@ class TestRunSweep:
         assert 0.0 <= manifest.truncation_convergence_delta < 1e-4
 
 
+def per_row_csv(header, rows) -> bytes:
+    """The CSV of ``rows`` written one '%.17g' row at a time."""
+    template = ",".join(["%.17g"] * len(header)) + "\n"
+    return (",".join(header) + "\n" + "".join(
+        template % tuple(float(v) for v in row) for row in rows)).encode()
+
+
+def edge_table(rows: int, seed: int = 0) -> np.ndarray:
+    """Three columns of repeated values, signed zeros and float extremes."""
+    rng = np.random.default_rng(seed)
+    negative_nan = -np.float64(np.nan)
+    payload_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+    specials = np.array([0.0, -0.0, np.nan, negative_nan, payload_nan, np.inf,
+                         -np.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+                         -1.7976931348623157e308, 0.1, 1 / 3])
+    return np.column_stack([rng.choice(specials, rows),
+                            rng.choice([1.5, -2.25e-7, 0.0, -0.0], rows),
+                            rng.standard_normal(rows)])
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes of a per-row '%.17g' writer."""
+
+    HEADER = ["a", "b", "c"]
+
+    def check(self, tmp_path, table):
+        path = tmp_path / "out.csv"
+        sweep._write_csv(path, self.HEADER, table)
+        assert path.read_bytes() == per_row_csv(self.HEADER, table)
+
+    def test_signed_zeros_in_one_column(self, tmp_path):
+        zeros = np.array([0.0, -0.0, -0.0, 0.0, 0.0, -0.0])
+        table = np.column_stack([zeros, zeros[::-1], np.arange(6.0)])
+        self.check(tmp_path, table)
+        body = (tmp_path / "out.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in body] == [
+            "0", "-0", "-0", "0", "0", "-0"]
+
+    def test_nan_inf_subnormal_and_largest(self, tmp_path):
+        values = [np.nan, -np.float64(np.nan), np.inf, -np.inf, 5e-324,
+                  1.7976931348623157e308]
+        self.check(tmp_path, np.column_stack([values, values[::-1], values]))
+        first = (tmp_path / "out.csv").read_text().splitlines()[1]
+        assert first == "nan,1.7976931348623157e+308,nan"
+
+    def test_repeated_values(self, tmp_path):
+        self.check(tmp_path, np.tile([[0.1, 2.0, -3e-300]], (50, 1)))
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_no_row_and_one_row(self, tmp_path, rows):
+        self.check(tmp_path, edge_table(rows))
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_rows_not_a_whole_number_of_blocks(self, tmp_path, extra):
+        self.check(tmp_path, edge_table(3 * sweep.CSV_BLOCK + extra))
+
+    def test_small_blocks(self, tmp_path, monkeypatch):
+        # values repeat across blocks, and each block dedups on its own
+        monkeypatch.setattr(sweep, "CSV_BLOCK", 3)
+        self.check(tmp_path, edge_table(40, seed=1))
+
+    def test_list_of_tuples_with_a_warning_row(self, tmp_path):
+        # run_optimal's rows: one NaN warning row per direction without a root
+        nan = float("nan")
+        rows = [(0.5, -0.684495, 2.46157e-6, 1.2e-18), (-0.5, nan, nan, nan),
+                (0.5, 0.654639, 2.46157e-6, 0.0)]
+        path = tmp_path / "out.csv"
+        header = ["delta_F_over_gamma", "delta_opt_over_omega_b",
+                  "lambda_opt_over_omega_b", "residual"]
+        sweep._write_csv(path, header, rows)
+        assert path.read_bytes() == per_row_csv(header, rows)
+
+
+def block_sizes(monkeypatch) -> list:
+    """Record the number of points of every ``g2_analytic`` call."""
+    sizes = []
+    solve = sweep.g2_analytic
+
+    def recorded(point):
+        sizes.append(np.broadcast(*(getattr(point, f) for f in
+                                    point.__dataclass_fields__)).size)
+        return solve(point)
+
+    monkeypatch.setattr(sweep, "g2_analytic", recorded)
+    return sizes
+
+
+def line_by_line(spec) -> tuple[np.ndarray, list]:
+    """A g2_analytic grid one line of the last axis per call, a failed line
+    redone one cell at a time: the values and failed cells of a line rule."""
+    axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
+    values = [ax.values() for ax in axes]
+    grid, failed = np.full([len(v) for v in values], np.nan), []
+    for outer in np.ndindex(grid.shape[:-1]):
+        coords = [v[i] for v, i in zip(values, outer)]
+        try:
+            grid[outer] = g2_analytic(sweep._at(spec, coords + [values[-1]])[0])
+        except SolverError:
+            for i, value in enumerate(values[-1]):
+                try:
+                    grid[outer + (i,)] = g2_analytic(
+                        sweep._at(spec, coords + [value])[0])
+                except SolverError:
+                    failed.append(outer + (i,))
+    return grid, failed
+
+
+class TestAnalyticBlocks:
+    """A g2_analytic grid is solved over runs of at most ANALYTIC_BLOCK cells."""
+
+    def test_clean_map_calls(self, tmp_path, monkeypatch):
+        # the pair-search map size; the cap bounds the stacked solve's memory
+        spec = SweepSpec(axis1=AxisSpec("delta_over_omega_b", -0.73, -0.63, 201),
+                         axis2=AxisSpec("Lambda_over_omega_b", 2.1e-6, 2.8e-6, 101),
+                         observable="g2_analytic", base=cw_base(),
+                         output_path=str(tmp_path / "map.csv"))
+        sizes = block_sizes(monkeypatch)
+        _values, grid, failures = _grid_results(spec)
+        cap = sweep.ANALYTIC_BLOCK
+        assert len(sizes) == -(-20301 // cap) and max(sizes) <= cap
+        assert sum(sizes) == 20301 and failures == []
+        monkeypatch.undo()
+        assert np.array_equal(grid, line_by_line(spec)[0])   # bit for bit
+
+    @pytest.mark.parametrize("e_first", [True, False])
+    def test_failing_line_calls(self, tmp_path, monkeypatch, e_first):
+        # Lambda = 0 and E = 0 leave c01 = 0: the E = 0 line fails, as one
+        # run of 401 cells (E first) or as every third cell (E second).
+        # Halving a failed run makes two calls; each failed cell lies under
+        # at most log2(cap) halvings, so it adds at most 2 log2(cap) calls.
+        drive = AxisSpec("E_over_gamma", -0.01, 0.01, 3)
+        detuning = AxisSpec("delta_over_omega_b", -0.8, 0.8, 401)
+        axis1, axis2 = (drive, detuning) if e_first else (detuning, drive)
+        spec = SweepSpec(axis1=axis1, axis2=axis2, observable="g2_analytic",
+                         base=cw_base().replace(Lambda=0.0),
+                         output_path=str(tmp_path / "map.csv"))
+        sizes = block_sizes(monkeypatch)
+        values, grid, failures = _grid_results(spec)
+        cap, cells = sweep.ANALYTIC_BLOCK, 3 * 401
+        extra = len(sizes) - -(-cells // cap)
+        assert 0 < extra <= 2 * 401 * int(np.ceil(np.log2(cap)))
+        assert len(sizes) < 2 * cells   # a halving tree has fewer nodes
+        assert max(sizes) <= cap
+        monkeypatch.undo()
+        expected, failed = line_by_line(spec)
+        assert np.array_equal(grid, expected, equal_nan=True)
+        assert len(failed) == 401
+        e = 0 if e_first else 1
+        assert [f[f"axis{e + 1}_index"] for f in failures] == [1] * 401
+        assert failures == [
+            {"axis1_index": index[0], axis1.parameter: float(values[0][index[0]]),
+             "axis2_index": index[1], axis2.parameter: float(values[1][index[1]]),
+             "error": "UndefinedCorrelationError: c01 vanishes; g2(0) is undefined"}
+            for index in failed]
+
+
 class TestRunOptimal:
     def test_paper_rows_and_header(self, tmp_path, working_params):
         out = tmp_path / "optimal.csv"
@@ -565,6 +730,13 @@ class TestRunG2Tau:
         with pytest.raises(ConfigError, match="must be an integer"):
             run_g2tau(cw_base(), HilbertConfig(3, 3), tau_max=1e-6,
                       points=points, output_path=tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("tau_max", ["1e-6", [1e-6], None, True])
+    def test_mistyped_tau_max_rejected(self, tmp_path, tau_max):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            run_g2tau(cw_base(), HilbertConfig(3, 3), tau_max=tau_max,
+                      points=1, output_path=tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
 
