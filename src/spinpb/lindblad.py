@@ -30,8 +30,13 @@ at the fig2a pair (7.8e3 and 1.0e5 for the whole M, 3.0e6 for S at 8x8).
 S's k >= 0 rows and M's k >= 0 block are masks of L, whose pattern holds
 the trace row.  Sweeps x += M^-1 (b - S x) bring the drive in until every
 entry has settled to 1e-10 of itself, the k < 0 entries filled in by the
-mirror before each product; where they diverge or stall, the whole S is
-built and factored directly as a fallback.
+mirror before each product.  Where they first stall, at the rounding floor
+of the double-precision residual b - S x, the later residuals are taken in
+extended precision (``np.clongdouble``; mixed-precision iterative
+refinement, Higham, Accuracy and Stability of Numerical Algorithms, ch. 12)
+with the same factor.  Where they diverge or stall again, the whole S is
+built and factored directly as a fallback; a platform whose long double is
+only double gains nothing from the second stage and falls back as before.
 
 Two-time correlations use the regression property: the conditional operator
 a rho_ss a+ is propagated by the same generator as rho itself.  The generator
@@ -87,6 +92,7 @@ _MAX_SWEEPS = 100             # sector sweeps before the direct solve takes over
 _STALL_SWEEPS = 10            # sweeps without halving the largest unsettled step
 _SWEEP_RTOL = 1e-10           # entrywise stopping rule of the sweeps:
 _SWEEP_ATOL = 1e-30           # |dx_i| <= RTOL |x_i| + ATOL max|x|
+_WIDE = np.clongdouble        # residuals after a stall; 80-bit on x86-64 Linux
 _UNIT_ROUNDOFF = 2.0**-53     # tolerance of the Taylor propagator
 _TAYLOR_TERMS = 55            # most Taylor terms per substep
 _THETA_55 = 9.9               # largest |A h / s|_1 for 55 terms at 2^-53
@@ -240,10 +246,14 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     x = 0, bring in E and Lambda (``_sector_sweeps``).  They stop when every
     entry's step satisfies |dx_i| <= 1e-10 |x_i| + 1e-30 max|x|, so the
     ~(E/gamma)^4 two-photon populations settle too; a rule on the step's max
-    norm would stop before they do.  If M is singular, the sweeps diverge
-    (max|dx| > max|x| or NaN), stall (the largest step of an entry that has
-    not settled fails to halve in 10 sweeps) or 100 sweeps do not meet the
-    rule, ``_direct_solve`` builds the whole S and solves it directly.
+    norm would stop before they do.  When they first stall (the largest
+    step of an entry that has not settled fails to halve in 10 sweeps), the
+    residual b - S x is taken in extended precision from then on.  If M is
+    singular, the sweeps diverge (max|dx| > max|x| or NaN), stall a second
+    time or 100 sweeps do not meet the rule, ``_direct_solve`` builds the
+    whole S and solves it directly.  Where long double is only double (as
+    with MSVC or on Apple silicon), the second stage stalls like the first,
+    so such a point still falls back.
     The result is Hermitized, checked against the residual bound
     |L vec(rho)|_inf <= 1e-10 max|L_ij|, and validated as a density matrix
     (``SolverError`` if it is not one).
@@ -354,11 +364,18 @@ def _sector_sweeps(half: _Half) -> np.ndarray | None:
     step that no complex matrix holds.  Sector 0 is its own mirror, and
     each step is made exactly Hermitian there, (dx_p + conj dx_mirror)/2,
     so that the rounding of the factor does not keep its entries moving.
-    Returns the full vector, filled once, or None when the block is
-    singular, a step outgrows the solution or is NaN, the largest step among
-    the unsettled entries has not fallen below half its best value for
-    ``_STALL_SWEEPS`` sweeps (entries stuck at a rounding floor), or
-    ``_MAX_SWEEPS`` sweeps do not meet the entrywise rule of ``steady_state``.
+
+    Entries of 1e-13 can get stuck at the rounding floor of the residual
+    e_0 - S x: at the exact fig2c pair four coherences jitter at about 5e-10
+    of themselves.  So the first time the largest step among the unsettled
+    entries has not fallen below half its best value for ``_STALL_SWEEPS``
+    sweeps, the sweeps go on from the same x with the same factor, but form
+    each residual with a ``_WIDE`` copy of S's rows and cast only the
+    residual back to complex128 for the solve.  Sweeps that do not stall
+    never make that copy or cast.  Returns the full vector, filled once, or
+    None when the block is singular, a step outgrows the solution or is
+    NaN, the sweeps stall a second time, or ``_MAX_SWEEPS`` sweeps do not
+    meet the entrywise rule of ``steady_state``.
     """
     from scipy.sparse.linalg import splu
 
@@ -369,9 +386,11 @@ def _sector_sweeps(half: _Half) -> np.ndarray | None:
     rhs = np.zeros(half.block.shape[0], dtype=complex)
     rhs[0] = 1.0                   # the trace row, position 0, is half index 0
     vec = np.zeros_like(rhs)
+    rows = half.rows
     best, stalled = np.inf, 0
     for _ in range(_MAX_SWEEPS):
-        step = lu.solve(rhs - half.rows @ _fill(vec, half.source))
+        residual = rhs - rows @ _fill(vec, half.source)
+        step = lu.solve(residual.astype(complex, copy=False))   # no-op until widened
         step[half.zero] = 0.5 * (step[half.zero] + step[half.twin].conj())
         vec += step
         size = np.abs(vec)
@@ -388,7 +407,10 @@ def _sector_sweeps(half: _Half) -> np.ndarray | None:
         else:
             stalled += 1
             if stalled == _STALL_SWEEPS:
-                return None
+                if rows is not half.rows:
+                    return None
+                rows = half.rows.astype(_WIDE)
+                best, stalled = np.inf, 0
     return None
 
 

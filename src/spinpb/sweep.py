@@ -361,15 +361,17 @@ def run_optimal(params: SystemParams, directions: list[str],
     """Root-search per drive direction; CSV of the located optimal pairs.
 
     Directions are keys of ``DIRECTION_SIGN`` ('cw' runs at +|delta_F|, 'ccw'
-    at -|delta_F|), each at most once.  The search box is the fixed one of
-    ``find_optimal_pairs``, hashed with the inputs.  A direction with no root
-    in the box emits one warning row of NaNs rather than failing.
+    at -|delta_F|), at least one and each at most once.  The search box is
+    the fixed one of ``find_optimal_pairs``, hashed with the inputs.  A
+    direction with no root in the box emits one warning row of NaNs rather
+    than failing.
     """
     _check_output(output_path)
     t0 = time.monotonic()
     named = {d for d in directions if isinstance(d, str)} & DIRECTION_SIGN.keys()
-    if len(named) < len(directions):
-        raise ConfigError(f"directions must be distinct cw or ccw, got {directions}")
+    if not named or len(named) < len(directions):
+        raise ConfigError(
+            f"directions must be one or more distinct cw or ccw, got {directions}")
     rows, failures = [], []
     for direction in directions:
         shift = DIRECTION_SIGN[direction] * abs(params.delta_F)

@@ -614,6 +614,12 @@ class TestRunOptimal:
             run_optimal(working_params, ["cw", "cw"], tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_no_direction(self, tmp_path, working_params):
+        # an empty list would write a header-only CSV with no failure record
+        with pytest.raises(ConfigError, match="one or more distinct"):
+            run_optimal(working_params, [], tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("direction", [["cw"], {"cw": 1}])
     def test_non_string_direction(self, tmp_path, working_params, direction):
         with pytest.raises(ConfigError, match="distinct"):
