@@ -13,8 +13,9 @@ The solve is array-valued.  ``SystemParams`` fields may hold broadcastable
 arrays; then the weights, the 6x6 matrices and the 5x5 systems are stacked,
 all points are one LAPACK call, and ``g2_analytic`` returns an array.  A
 scalar point is the 0-d case, and every array element is bit-identical to
-its scalar evaluation: the map sweeps and the pair search's delta scan use
-the array form, brentq and the check of each root the scalar one.
+its scalar evaluation or fails with its scalar error, which the array call's
+error names (``SolverError``): map sweeps, the pair search's delta scan and
+brentq steps use the array form, and each root's check the scalar one.
 
 scipy is imported inside the functions that use it, so importing the package
 (and the CLI's parse-only commands) does not load it.
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystemError, SolverError, UndefinedCorrelationError
+from .errors import (SingularSystemError, SolverError, UndefinedCorrelationError,
+                     _raise_failures)
 from .model import SystemParams, _coefficients, _terms
 from .operators import HilbertConfig
 
@@ -70,26 +72,34 @@ class OptimalPair:
 
 def steady_amplitudes(params: SystemParams) -> AmplitudeVector:
     """Solve the steady amplitude hierarchy with c00 = 1, at one point or many."""
-    return AmplitudeVector(1.0 + 0.0j, *np.moveaxis(_amplitudes(params), -1, 0))
+    c = _raise_failures(*_amplitudes(params))
+    return AmplitudeVector(1.0 + 0.0j, *np.moveaxis(c, -1, 0))
 
 
-def _amplitudes(params: SystemParams) -> np.ndarray:
-    """(c10, c01, c11, c02, c20) with c00 = 1, on a last axis: (..., 5).
+def _amplitudes(params: SystemParams) -> tuple[np.ndarray, list]:
+    """(c10, c01, c11, c02, c20) with c00 = 1, on a last axis: (..., 5), NaN
+    at failing points, and the checks for ``_raise_failures``.
 
     The hierarchy drops the drive feedback of two excitations onto one, so
     ``_coefficient_matrix`` past c00 is a block lower-triangular system; an
-    array of parameter points is one stacked solve.  Amplitudes beyond the
-    float range raise ``SolverError`` rather than return inf or NaN.
+    array of parameter points is one stacked solve.  A point fails if its
+    system is singular or else its amplitudes overflow the float range.
+    LAPACK fails the whole stack for one singular system, so only then are
+    the singular ones found, by determinant sign, and solved as identities.
     """
     M = _coefficient_matrix(params)
     M[..., 1:3, 3:6] = 0.0
+    A, singular = M[..., 1:, 1:], False
     try:
-        c = np.linalg.solve(M[..., 1:, 1:], -M[..., 1:, :1])
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError("amplitude hierarchy is singular") from exc
-    if not np.isfinite(c).all():
-        raise SolverError("amplitudes overflow the float range")
-    return c[..., 0]
+        c = np.linalg.solve(A, -M[..., 1:, :1])[..., 0]
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(A)[0] == 0
+        A[singular] = np.eye(5)
+        c = np.linalg.solve(A, -M[..., 1:, :1])[..., 0]
+    overflow = ~np.isfinite(c).all(axis=-1)
+    c[singular | overflow] = np.nan
+    return c, [(singular, SingularSystemError("amplitude hierarchy is singular")),
+               (overflow, SolverError("amplitudes overflow the float range"))]
 
 
 def g2_analytic(params: SystemParams) -> float | np.ndarray:
@@ -98,19 +108,21 @@ def g2_analytic(params: SystemParams) -> float | np.ndarray:
     A float for scalar parameters, an array of their broadcast shape for
     array-valued ones.  The squared moduli are written as products and sums
     only, so an array element is bit-identical to its scalar evaluation.
-    A |c01|^4 or g2 beyond the float range raises ``SolverError``: the
-    quotient would be a silent 0, inf or NaN.
+    Past ``_amplitudes``'s checks, a point fails if |c01|^4 vanishes or else
+    if |c01|^4 or g2 overflows: the quotient would be a silent 0, inf or
+    NaN.  An array call fails as ``SolverError`` says, per point.
     """
-    c = _amplitudes(params)
+    c, checks = _amplitudes(params)
     c01, c02 = c[..., 1], c[..., 3]
     n01 = c01.real * c01.real + c01.imag * c01.imag
     n02 = c02.real * c02.real + c02.imag * c02.imag
     denominator = n01 * n01          # |c01|^4, zero also once it underflows
-    if np.any(denominator == 0):
-        raise UndefinedCorrelationError("c01 vanishes; g2(0) is undefined")
-    g2 = 2.0 * n02 / denominator
-    if not (np.isfinite(denominator).all() and np.isfinite(g2).all()):
-        raise SolverError("|c01|^4 or g2(0) overflows the float range")
+    vanishes = denominator == 0
+    g2 = 2.0 * n02 / np.where(vanishes, np.nan, denominator)
+    overflow = ~(np.isfinite(denominator) & np.isfinite(g2))   # NaN g2 too
+    g2 = _raise_failures(np.where(overflow, np.nan, g2), checks + [
+        (vanishes, UndefinedCorrelationError("c01 vanishes; g2(0) is undefined")),
+        (overflow, SolverError("|c01|^4 or g2(0) overflows the float range"))])
     return float(g2) if np.ndim(g2) == 0 else g2
 
 
@@ -133,11 +145,11 @@ def find_optimal_pairs(params: SystemParams) -> list[OptimalPair]:
     d_lo, d_hi = (r * wb for r in _DELTA_RANGE)
     l_lo, l_hi = (r * wb for r in _LAMBDA_RANGE)
 
-    def pathways(delta):
-        point = params.replace(delta=delta)
-        a = _amplitudes(point.replace(Lambda=0.0))[..., 3]
-        b = _amplitudes(point.replace(E=0.0, Lambda=1.0))[..., 3]
-        return a, b
+    def pathways(delta):   # a and b as one solve, on a first axis of two
+        pair = (2,) + (1,) * np.ndim(delta)
+        return _raise_failures(*_amplitudes(params.replace(
+            delta=delta, E=np.reshape([params.E, 0.0], pair),
+            Lambda=np.reshape([0.0, 1.0], pair))))[..., 3]
 
     def phase_mismatch(delta):
         # Im(a conj(b)) from real products: numpy's complex multiply can round

@@ -4,11 +4,11 @@ A sweep evaluates one observable over a 1-D or 2-D grid, row-major with
 axis1 outermost, and writes full-precision CSV plus a JSON manifest with
 provenance (config hash, tool version, timing) and a truncation-convergence
 check.  The grid is a float array, filled one block at a time (a run of
-g2_analytic cells, a delay line or one steady state; see ``_grid_results``)
-and written and probed straight from that array.  Every
-parameter point is built by ``_at`` and every engine call is in
-``_evaluate``; a ``SweepSpec`` builds every grid point when made, so
-``validate`` rejects what ``sweep`` would.  Evaluation is
+g2_analytic cells, a delay line or one steady state, which fails at the
+cells its error names; see ``_grid_results``) and written and probed
+straight from that array.  Every parameter point is built by ``_at`` and
+every engine call is in ``_evaluate``; a ``SweepSpec`` builds every grid
+point when made, so ``validate`` rejects what ``sweep`` would.  Evaluation is
 sequential and deterministic: rerunning a spec produces a byte-identical CSV.
 """
 
@@ -206,44 +206,40 @@ def _grid_results(spec: SweepSpec) -> tuple[list, np.ndarray, list]:
     at most ``ANALYTIC_BLOCK`` consecutive row-major cells per array-valued
     call, g2_tau one delay trace per line of its tau axis, and g2_numeric and
     mandel_q one steady state per cell, so a failed cell costs no other.  Each
-    block's point and delays are ``_at`` of its coordinates.  A g2_analytic
-    run that fails is halved until each failing cell is alone; a g2_tau line
-    that fails (one steady state) fails at every delay.  Each failed cell is
-    NaN with one failure record giving every axis's index and value.
+    block's point and delays are ``_at`` of its coordinates.  A block that
+    fails keeps its error's values and fails at the cells the error names,
+    or at each cell (``SolverError``).  Each failed cell is NaN with one
+    failure record giving every axis's index and value.
     """
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     values = [ax.values() for ax in axes]
     grid = np.full([len(v) for v in values], np.nan)
     k = next((n for n, ax in enumerate(axes) if ax.parameter == "tau"), None)
+    cell_ids = np.arange(grid.size).reshape(grid.shape)   # row-major
     if spec.observable == "g2_analytic":   # index arrays of each run of cells
-        cells = np.unravel_index(np.arange(grid.size), grid.shape)
-        todo = [tuple(c[start:start + ANALYTIC_BLOCK] for c in cells)
-                for start in range(0, grid.size, ANALYTIC_BLOCK)]
+        cells = np.indices(grid.shape).reshape(grid.ndim, -1)
+        todo = [tuple(cells[:, s:s + ANALYTIC_BLOCK])
+                for s in range(0, grid.size, ANALYTIC_BLOCK)]
     elif spec.observable == "g2_tau":   # every line along the tau axis k
         todo = [i[:k] + (slice(None),) + i[k:]
                 for i in np.ndindex(grid.shape[:k] + grid.shape[k + 1:])]
     else:
         todo = list(np.ndindex(grid.shape))
-    errors = {}
-    for block in todo:   # a failed g2_analytic run appends its two halves
+    errors = {}   # cell id: its error
+    for block in todo:
         try:
             grid[block] = _evaluate(spec.observable, *_at(spec, [
                 v[b] for v, b in zip(values, block)]), spec.cfg)
         except SolverError as exc:
-            if spec.observable == "g2_tau":   # one steady state, one trace
-                errors.update(dict.fromkeys([block[:k] + (i,) + block[k + 1:]
-                                             for i in range(grid.shape[k])], exc))
-            elif spec.observable == "g2_analytic" and len(block[0]) > 1:
-                half = len(block[0]) // 2
-                todo += [tuple(b[:half] for b in block),
-                         tuple(b[half:] for b in block)]
-            else:   # one cell, held as ints or as one-element index arrays
-                errors[tuple(np.ravel(block).tolist())] = exc
+            grid[block] = exc.values
+            ids = np.ravel(cell_ids[block])   # the block's cells, in its order
+            failed = exc.failed or dict.fromkeys(range(ids.size), exc)
+            errors.update((ids[i], error) for i, error in failed.items())
     failures = []
-    for index, error in sorted(errors.items()):   # row-major, as the CSV
+    for cell, error in sorted(errors.items()):   # row-major, as the CSV
         record = {}
-        for n, i in enumerate(index):
-            record[f"axis{n + 1}_index"] = i
+        for n, i in enumerate(np.unravel_index(cell, grid.shape)):
+            record[f"axis{n + 1}_index"] = int(i)
             record[axes[n].parameter] = float(values[n][i])
         failures.append({**record, "error": f"{type(error).__name__}: {error}"})
     return values, grid, failures

@@ -201,6 +201,34 @@ class TestG2Analytic:
         with pytest.raises(SolverError, match=re.escape("|c01|^4")):
             g2_analytic(p)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflows on purpose
+    def test_array_call_names_each_failing_point(self, working_params):
+        # a clean point and one point of each failure kind, in the order the
+        # checks meet them; each must behave in the array as it does alone
+        pair = working_params.replace(delta=-0.684495 * OMEGA_B,
+                                      Lambda=2.46157e-6 * OMEGA_B)
+        points = [pair, SystemParams(gamma=5e-324, omega_b=1.0, E=1.0),
+                  pair.replace(E=0.0, Lambda=0.0), pair.replace(E=1e200 * GAMMA),
+                  pair.replace(E=1e80 * GAMMA)]
+        alone = []
+        for p in points:
+            try:
+                alone.append(g2_analytic(p))
+            except SolverError as exc:
+                alone.append(exc)
+        assert [type(e).__name__ for e in alone[1:]] == [
+            "SingularSystemError", "UndefinedCorrelationError", "SolverError",
+            "SolverError"]
+        assert str(alone[3]) != str(alone[4])   # amplitudes, then |c01|^4
+        stacked = SystemParams(*map(np.array, zip(*map(astuple, points))))
+        with pytest.raises(SolverError) as caught:
+            g2_analytic(stacked)
+        error = caught.value
+        assert (type(error), str(error)) == (type(alone[1]), str(alone[1]))
+        assert {i: (type(e), str(e)) for i, e in error.failed.items()} == {
+            i: (type(e), str(e)) for i, e in enumerate(alone[1:], start=1)}
+        assert error.values[0] == alone[0] and np.isnan(error.values[1:]).all()
+
 
 class TestFindOptimalPairs:
     def test_reproduces_published_pairs(self, working_params):

@@ -500,12 +500,13 @@ def block_sizes(monkeypatch) -> list:
     return sizes
 
 
-def line_by_line(spec) -> tuple[np.ndarray, list]:
+def line_by_line(spec) -> tuple[np.ndarray, dict]:
     """A g2_analytic grid one line of the last axis per call, a failed line
-    redone one cell at a time: the values and failed cells of a line rule."""
+    redone one cell at a time: the values and, row-major, each failed cell's
+    error text of a line rule."""
     axes = [ax for ax in (spec.axis1, spec.axis2) if ax is not None]
     values = [ax.values() for ax in axes]
-    grid, failed = np.full([len(v) for v in values], np.nan), []
+    grid, failed = np.full([len(v) for v in values], np.nan), {}
     for outer in np.ndindex(grid.shape[:-1]):
         coords = [v[i] for v, i in zip(values, outer)]
         try:
@@ -515,8 +516,8 @@ def line_by_line(spec) -> tuple[np.ndarray, list]:
                 try:
                     grid[outer + (i,)] = g2_analytic(
                         sweep._at(spec, coords + [value])[0])
-                except SolverError:
-                    failed.append(outer + (i,))
+                except SolverError as exc:
+                    failed[outer + (i,)] = f"{type(exc).__name__}: {exc}"
     return grid, failed
 
 
@@ -537,36 +538,50 @@ class TestAnalyticBlocks:
         monkeypatch.undo()
         assert np.array_equal(grid, line_by_line(spec)[0])   # bit for bit
 
-    @pytest.mark.parametrize("e_first", [True, False])
-    def test_failing_line_calls(self, tmp_path, monkeypatch, e_first):
-        # Lambda = 0 and E = 0 leave c01 = 0: the E = 0 line fails, as one
-        # run of 401 cells (E first) or as every third cell (E second).
-        # Halving a failed run makes two calls; each failed cell lies under
-        # at most log2(cap) halvings, so it adds at most 2 log2(cap) calls.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # E = 1e200 gamma overflows
+    @pytest.mark.parametrize("layout", ["E first", "E second", "mixed kinds",
+                                        "singular cell"])
+    def test_failing_line_calls(self, tmp_path, monkeypatch, layout):
+        # a failed run costs no extra call: its error names the failing cells
+        # and carries the others' values
         drive = AxisSpec("E_over_gamma", -0.01, 0.01, 3)
         detuning = AxisSpec("delta_over_omega_b", -0.8, 0.8, 401)
-        axis1, axis2 = (drive, detuning) if e_first else (detuning, drive)
-        spec = SweepSpec(axis1=axis1, axis2=axis2, observable="g2_analytic",
-                         base=cw_base().replace(Lambda=0.0),
-                         output_path=str(tmp_path / "map.csv"))
+        axes, base, kinds = {
+            # Lambda = 0 and E = 0 leave c01 = 0: the E = 0 line fails, as one
+            # run of 401 cells (E first) or as every third cell (E second)
+            "E first": ((drive, detuning), cw_base().replace(Lambda=0.0),
+                        {"UndefinedCorrelationError": 401}),
+            "E second": ((detuning, drive), cw_base().replace(Lambda=0.0),
+                         {"UndefinedCorrelationError": 401}),
+            # |E| >= 5e199 gamma overflows the amplitudes beside that line
+            "mixed kinds": ((AxisSpec("E_over_gamma", -1e200, 1e200, 5),
+                             AxisSpec("delta_over_omega_b", -0.8, 0.8, 7)),
+                            cw_base().replace(Lambda=0.0),
+                            {"SolverError": 28, "UndefinedCorrelationError": 7}),
+            # gamma = 5e-324 leaves the undetuned hierarchy singular
+            "singular cell": ((AxisSpec("gamma", 5e-324, 1.0, 3),
+                               AxisSpec("delta", -1.0, 1.0, 5)),
+                              SystemParams(gamma=1.0, omega_b=1.0, E=1.0),
+                              {"SingularSystemError": 1}),
+        }[layout]
+        spec = SweepSpec(axis1=axes[0], axis2=axes[1], observable="g2_analytic",
+                         base=base, output_path=str(tmp_path / "map.csv"))
         sizes = block_sizes(monkeypatch)
         values, grid, failures = _grid_results(spec)
-        cap, cells = sweep.ANALYTIC_BLOCK, 3 * 401
+        cap, cells = sweep.ANALYTIC_BLOCK, axes[0].points * axes[1].points
         extra = len(sizes) - -(-cells // cap)
-        assert 0 < extra <= 2 * 401 * int(np.ceil(np.log2(cap)))
-        assert len(sizes) < 2 * cells   # a halving tree has fewer nodes
-        assert max(sizes) <= cap
+        assert extra == 0 and max(sizes) <= cap
         monkeypatch.undo()
         expected, failed = line_by_line(spec)
         assert np.array_equal(grid, expected, equal_nan=True)
-        assert len(failed) == 401
-        e = 0 if e_first else 1
-        assert [f[f"axis{e + 1}_index"] for f in failures] == [1] * 401
         assert failures == [
-            {"axis1_index": index[0], axis1.parameter: float(values[0][index[0]]),
-             "axis2_index": index[1], axis2.parameter: float(values[1][index[1]]),
-             "error": "UndefinedCorrelationError: c01 vanishes; g2(0) is undefined"}
-            for index in failed]
+            {"axis1_index": i, axes[0].parameter: float(values[0][i]),
+             "axis2_index": j, axes[1].parameter: float(values[1][j]),
+             "error": error} for (i, j), error in failed.items()]
+        found = [f["error"].split(":")[0] for f in failures]
+        assert {kind: found.count(kind) for kind in found} == kinds
+        assert all(f["E_over_gamma"] == 0.0 for f in failures   # the E = 0 line
+                   if f["error"].startswith("UndefinedCorrelationError"))
 
 
 class TestRunOptimal:
