@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (SingularSystemError, SolverError, UndefinedCorrelationError,
                      _raise_failures)
-from .model import SystemParams, _coefficients, _terms
+from .model import SystemParams, _coefficients, _one_point, _terms
 from .operators import HilbertConfig
 
 # the Hamiltonian's terms on the amplitudes' states |m, n>, in amplitude order
@@ -137,10 +137,11 @@ def find_optimal_pairs(params: SystemParams) -> list[OptimalPair]:
     delta scan and solved with brentq; its Lambda is -Re(a / b).  Roots are
     returned sorted by delta; an empty list means no root inside the box.
     Amplitudes beyond the float range or a root that brentq does not
-    converge on raise ``SolverError``.
+    converge on raise ``SolverError``; array-valued ``params``, ``ConfigError``.
     """
     from scipy.optimize import brentq
 
+    _one_point(params, "find_optimal_pairs")
     wb = params.omega_b
     d_lo, d_hi = (r * wb for r in _DELTA_RANGE)
     l_lo, l_hi = (r * wb for r in _LAMBDA_RANGE)

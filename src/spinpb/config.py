@@ -3,27 +3,26 @@
 Every JSON object is parsed by ``_parse_object`` against a dataclass: its
 keys are the dataclass's fields, a field without a default is required, a
 ``comment`` key is allowed anywhere and ignored, and any other key is a
-config error (anti-typo policy).  Each key has one converter that checks its
-JSON type: a finite number, an integer, a string, or a nested object.
+config error (anti-typo policy).  Values pass unconverted (a nested object
+becomes its dataclass): the dataclass checks its fields and stores them in one
+form, the same for JSON and the Python API, so equal inputs hash equally.
 
 System parameters are a flat object over ``SystemParams``: gamma, delta,
 omega_b, J, K, Lambda, beta, E, delta_F, m_th, gamma_p.  Every rate key may
 instead be given in reduced units through a companion key suffixed
 ``_over_gamma`` or ``_over_omega_b``; supplying more than one spelling of the
-same quantity is a config error.
+same quantity is a config error.  Spellings are scaled, so checked here first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
+from functools import partial
 from dataclasses import MISSING, fields
 from typing import Any, Callable
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, _number
 from .model import SystemParams
 from .operators import HilbertConfig
 
@@ -35,52 +34,30 @@ SPELLINGS = frozenset(f.name for f in fields(SystemParams)) | {
     k + s for k in RATE_KEYS for s in _SUFFIXES}
 
 
-def _number(value: Any, key: str) -> float:
-    try:   # isfinite raises for a non-number and for an int beyond float range
-        if not isinstance(value, bool) and math.isfinite(value):
-            return float(value)
-    except (TypeError, OverflowError):
-        pass
-    raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
+def _parse_object(cls: type, raw: Any, what: str, **converters: Callable) -> dict:
+    """The values of the JSON object ``raw``, keyed as in ``raw``.
 
-
-def _integer(value: Any, key: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def _string(value: Any, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"key '{key}' must be a string, got {value!r}")
-    return value
-
-
-def _parse_object(cls: type, raw: Any, converters: dict[str, Callable],
-                  what: str) -> dict:
-    """The converted values of the JSON object ``raw``, keyed as in ``raw``.
-
-    ``converters`` maps each allowed key to ``convert(value, key)``; any
-    other key but ``comment`` is rejected, as is a missing field of the
-    dataclass ``cls`` that has no default.
+    Its keys may be the fields of the dataclass ``cls`` and the keys of
+    ``converters``, each value given to its ``convert(value)`` or passed as
+    given.  Any other key but ``comment`` is rejected, as is a missing field
+    of ``cls`` that has no default.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} spec must be a JSON object")
-    unknown = set(raw) - set(converters) - {"comment"}
+    unknown = set(raw) - {f.name for f in fields(cls)} - set(converters) - {"comment"}
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {sorted(unknown)}")
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING \
-                and f.name not in raw:
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in raw:
             raise ConfigError(f"{what} missing required key '{f.name}'")
-    return {key: converters[key](value, key) for key, value in raw.items()
-            if key != "comment"}
+    return {key: converters[key](value) if key in converters else value
+            for key, value in raw.items() if key != "comment"}
 
 
 def params_from_dict(raw: dict) -> SystemParams:
     """Build SystemParams from a flat JSON object, resolving reduced units."""
-    given = _parse_object(SystemParams, raw, dict.fromkeys(SPELLINGS, _number),
-                          "parameter")
+    given = _parse_object(SystemParams, raw, "parameter", **{
+        key: partial(_number, key=key) for key in SPELLINGS})
     values: dict[str, float] = {}
     for spelling, value in given.items():
         name, value = resolve_unit(spelling, value, given["gamma"],
@@ -112,28 +89,13 @@ def params_reduced_dict(params: SystemParams) -> dict:
 
 def hilbert_from_dict(raw: dict | None) -> HilbertConfig:
     """Truncation from a JSON object; None is the default truncation."""
-    if raw is None:
-        return HilbertConfig()
-    return HilbertConfig(**_parse_object(
-        HilbertConfig, raw, {"n_magnon": _integer, "n_photon": _integer},
-        "truncation"))
-
-
-def json_default(value: Any) -> Any:
-    """``default`` hook of the JSON writers: a numpy scalar as its Python value.
-
-    So a run given numpy numbers (point counts, parameters) hashes and
-    records the same JSON as one given Python numbers.
-    """
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return HilbertConfig(**({} if raw is None else
+                            _parse_object(HilbertConfig, raw, "truncation")))
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic serialization used for config hashing."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      default=json_default)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(obj: Any) -> str:

@@ -1,10 +1,33 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the value checks of inputs."""
+
+import math
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (unknown key, unit conflict, bad range)."""
+
+
+def _number(value: object, key: str) -> float:
+    try:   # isfinite raises for a non-number and for an int beyond float range
+        if not isinstance(value, (bool, np.bool_)) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ConfigError(f"key '{key}' must be a finite number, got {value!r}")
+
+
+def _integer(value: object, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"key '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value: object, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key '{key}' must be a string, got {value!r}")
+    return value
 
 
 class DimensionError(ConfigError):

@@ -74,7 +74,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 # build_hamiltonian is unused here; perfbench/spans.py traces it by this name
-from .model import SystemParams, _coefficients, _terms, build_hamiltonian  # noqa: F401
+from .model import SystemParams, _coefficients, _one_point, _terms, build_hamiltonian  # noqa: F401
 from .operators import HilbertConfig, embed_ops
 
 if TYPE_CHECKING:
@@ -219,10 +219,11 @@ def build_liouvillian(params: SystemParams, cfg: HilbertConfig) -> Liouvillian:
     seven Hamiltonian weights and the jump rates gamma, gamma (m_th + 1),
     gamma m_th and gamma_p, written straight into L's fixed CSC pattern; no
     dense dim^2 x dim^2 array is formed.  Refuses superoperator dimensions
-    above 10^4.
+    above 10^4 and an array-valued ``params`` (``ConfigError``).
     """
     from scipy.sparse import csc_array
 
+    _one_point(params, "build_liouvillian")
     if cfg.dim**2 > _MAX_SUPER_DIM:
         raise LiouvillianSizeError(
             f"superoperator dimension {cfg.dim**2} exceeds guard {_MAX_SUPER_DIM}")
@@ -356,6 +357,7 @@ def _fill(x: np.ndarray, source: np.ndarray) -> np.ndarray:
     return np.concatenate((x, x.conj())).take(source)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a NaN or inf step falls back
 def _sector_sweeps(half: _Half) -> np.ndarray | None:
     """Solve S x = e_0 by sweeps x += M^-1 (e_0 - S x) over the k >= 0 half.
 

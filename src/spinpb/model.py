@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _number
 from .operators import HilbertConfig, embed_ops
 
 
 # Sign of the Sagnac shift per drive direction: clockwise +, counter-clockwise -
 DIRECTION_SIGN = {"cw": 1.0, "ccw": -1.0}
+# SystemParams fields with a lower bound: positive (True) or non-negative
+_LOWER_BOUNDS = dict(gamma=True, omega_b=True, m_th=False, gamma_p=False, Lambda=False)
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class SpinGeometry:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ConfigError(f"SpinGeometry.{name} must be finite, got {value!r}")
-            if not value > 0 and name != "dn_dlambda":
+            if not _number(value, f"SpinGeometry.{name}") > 0 and name != "dn_dlambda":
                 raise ConfigError(f"SpinGeometry.{name} must be positive")
 
 
@@ -64,8 +64,8 @@ class SpinGeometry:
 class SystemParams:
     """All physical rates of the reduced model, in rad/s.
 
-    Any field may instead hold a float array; arrays broadcast against each
-    other, and the amplitude engine then solves one point per element.
+    Each field is stored as a float, or as a float array given a real array
+    (arrays broadcast; the amplitude engine solves one point per element).
 
     Attributes
     ----------
@@ -107,16 +107,20 @@ class SystemParams:
     gamma_p: float = 0.0
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            lo = hi = value
-            if not isinstance(value, float):   # an array (or int): its extremes
-                lo, hi = np.min(value), np.max(value)   # NaN propagates
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ConfigError(f"{name} must be finite, got {value!r}")
-            if lo <= 0 and name in ("gamma", "omega_b"):
-                raise ConfigError(f"{name} must be positive")
-            if lo < 0 and name in ("m_th", "gamma_p", "Lambda"):
-                raise ConfigError(f"{name} must be non-negative")
+        stored = vars(self)   # frozen: written around __setattr__
+        for name, value in stored.items():
+            if type(value) is float and math.isfinite(value):   # _number's fast path
+                lo = value
+            elif isinstance(value, np.ndarray) and value.ndim:
+                if value.dtype.kind not in "iuf" or not np.isfinite(value).all():
+                    raise ConfigError(f"{name} must be a finite real array, got {value!r}")
+                stored[name] = value = value.astype(float, copy=False)
+                lo = value.min(initial=math.inf) if name in _LOWER_BOUNDS else None
+            else:
+                stored[name] = lo = _number(value, name)
+            if name in _LOWER_BOUNDS and (lo < 0 or lo == 0 and _LOWER_BOUNDS[name]):
+                raise ConfigError(f"{name} must be " + (
+                    "positive" if _LOWER_BOUNDS[name] else "non-negative"))
 
     @property
     def weak_drive_warning(self) -> bool:
@@ -125,6 +129,12 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return SystemParams(**{**vars(self), **changes})
+
+
+def _one_point(params: SystemParams, what: str) -> None:
+    """ConfigError if a field of ``params`` holds an array: ``what`` solves one point."""
+    if not all(type(value) is float for value in vars(params).values()):
+        raise ConfigError(f"{what} takes one parameter point, got arrays: {params}")
 
 
 def sagnac_shift(geom: SpinGeometry, omega_rot: float, direction: str) -> float:

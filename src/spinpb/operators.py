@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError, _integer
 
 
 @dataclass(frozen=True)
@@ -19,8 +19,8 @@ class HilbertConfig:
     """Truncation dimensions of the two-mode Fock space.
 
     Two-excitation physics needs at least levels 0, 1, 2 in each mode, so
-    both dimensions must be integers >= 3; numpy integers are stored as
-    Python ints, so no product of them wraps.
+    both dimensions must be integers >= 3 (not bools); numpy integers are
+    stored as Python ints, so no product of them wraps.
     """
 
     n_magnon: int = 5
@@ -28,9 +28,10 @@ class HilbertConfig:
 
     def __post_init__(self):
         for name, size in asdict(self).items():
-            if not isinstance(size, (int, np.integer)):
-                raise DimensionError(f"truncation must be integers, got {size!r}")
-            object.__setattr__(self, name, int(size))
+            try:
+                object.__setattr__(self, name, _integer(size, name))
+            except ConfigError as exc:
+                raise DimensionError(f"truncation must be integers: {exc}") from None
         if self.n_magnon < 3 or self.n_photon < 3:
             raise DimensionError(
                 f"truncation must keep Fock levels 0..2 in each mode, got "

@@ -15,6 +15,7 @@ sequential and deterministic: rerunning a spec produces a byte-identical CSV.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -26,20 +27,16 @@ from . import __version__
 from .analytic import _DELTA_RANGE, _LAMBDA_RANGE, find_optimal_pairs, g2_analytic
 from .config import (
     SPELLINGS,
-    _integer,
-    _number,
     _parse_object,
-    _string,
     config_hash,
     hilbert_from_dict,
-    json_default,
     params_from_dict,
     params_reduced_dict,
     resolve_unit,
 )
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, _integer, _number, _string
 from .lindblad import build_liouvillian, g2_tau, g2_zero, mandel_q, steady_state
-from .model import DIRECTION_SIGN, SystemParams
+from .model import DIRECTION_SIGN, SystemParams, _one_point
 from .operators import HilbertConfig
 
 CONVERGENCE_BOUND = 1e-4   # relative change allowed from one extra Fock level
@@ -58,13 +55,12 @@ class AxisSpec:
     scale: str = "linear"
 
     def __post_init__(self):
-        _string(self.parameter, "parameter")   # so a list fails here, not as
-        _string(self.scale, "scale")           # an unhashable set member
+        for name, check in (("parameter", _string), ("min", _number), ("max", _number),
+                            ("points", _integer), ("scale", _string)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if self.parameter not in SPELLINGS | {"tau"}:
             raise ConfigError(f"unknown axis parameter '{self.parameter}'")
-        _number(self.min, "min")   # finite, so NaN and inf fail here
-        _number(self.max, "max")
-        if _integer(self.points, "points") < 2:
+        if self.points < 2:
             raise ConfigError("axis needs at least 2 points")
         if not self.min < self.max:
             raise ConfigError("axis must have min < max")
@@ -94,7 +90,13 @@ class SweepSpec:
     cfg: HilbertConfig = field(default_factory=HilbertConfig)
 
     def __post_init__(self):
-        if self.observable not in OBSERVABLES:
+        for name, kind in (("axis1", AxisSpec), ("axis2", (AxisSpec, type(None))),
+                           ("base", SystemParams), ("cfg", HilbertConfig)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ConfigError(f"{name} must be {self.__annotations__[name]},"
+                                  f" got {value!r}")
+        _one_point(self.base, "a sweep's base")
+        if _string(self.observable, "observable") not in OBSERVABLES:
             raise ConfigError(f"unknown observable '{self.observable}'")
         tau_axes = [ax for ax in (self.axis1, self.axis2)
                     if ax is not None and ax.parameter == "tau"]
@@ -111,7 +113,7 @@ class SweepSpec:
         # every grid point is a valid SystemParams, as the sweep will build it
         _at(self, _grid(np.meshgrid, *(ax.values() for ax in (self.axis1, self.axis2)
                                        if ax is not None), indexing="ij"))
-        _check_output(self.output_path)
+        object.__setattr__(self, "output_path", _check_output(self.output_path))
 
 
 @dataclass
@@ -134,7 +136,7 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2, default=json_default)
+            json.dump(self.__dict__, fh, indent=2)
             fh.write("\n")
 
 
@@ -146,15 +148,17 @@ def _grid(build, *args, **kwargs) -> np.ndarray:
         raise ConfigError(f"grid too large to build: {exc}") from exc
 
 
-def _check_output(output_path) -> None:
-    """Reject a path that holds a NUL, names a directory or lies under a file.
+def _check_output(output_path) -> str:
+    """``output_path`` (a str or ``os.PathLike``) as a str, if a run may write it.
 
-    The manifest path beside it must not be a directory either, so a run
-    never writes a CSV it cannot give a manifest.  "" names the current
-    directory; missing parents are created on write.
+    Not if it holds a NUL, names a directory or lies under a file, or its
+    manifest path is a directory: a run writes no CSV it cannot give a
+    manifest.  "" is the current directory; missing parents are created.
     """
-    if "\0" in str(output_path):
-        raise ConfigError(f"output path {str(output_path)!r} holds a NUL character")
+    output_path = _string(os.fspath(output_path) if isinstance(output_path, os.PathLike)
+                          else output_path, "output_path")
+    if "\0" in output_path:
+        raise ConfigError(f"output path {output_path!r} holds a NUL character")
     path = Path(output_path)
     if path.is_dir():
         raise ConfigError(f"output path '{output_path}' is a directory")
@@ -164,6 +168,7 @@ def _check_output(output_path) -> None:
     if parent is not None and not parent.is_dir():
         raise ConfigError(f"output path '{output_path}' lies under '{parent}',"
                           " which is not a directory")
+    return output_path
 
 
 def _at(spec: SweepSpec, coords) -> tuple[SystemParams, object]:
@@ -362,7 +367,7 @@ def run_optimal(params: SystemParams, directions: list[str],
     direction with no root in the box emits one warning row of NaNs rather
     than failing.
     """
-    _check_output(output_path)
+    output_path = _check_output(output_path)
     t0 = time.monotonic()
     named = {d for d in directions if isinstance(d, str)} & DIRECTION_SIGN.keys()
     if not named or len(named) < len(directions):
@@ -385,7 +390,7 @@ def run_optimal(params: SystemParams, directions: list[str],
     check = (0.0, ["pair search is analytic: truncation-free, delta is 0"])
     inputs = {"params": asdict(params), "directions": directions,
               "delta_range": _DELTA_RANGE, "lambda_range": _LAMBDA_RANGE,
-              "output_path": str(output_path)}
+              "output_path": output_path}
     return _finish(output_path, ["delta_F_over_gamma", "delta_opt_over_omega_b",
                                  "lambda_opt_over_omega_b", "residual"],
                    rows, failures, check, "optimal_pairs", params, params, None,
@@ -399,16 +404,17 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
     A solver error is raised, not recorded: the trace has a single
     parameter point.
     """
-    _check_output(output_path)
-    if not _number(tau_max, "tau_max") > 0:   # finite, so inf and NaN fail
+    output_path = _check_output(output_path)
+    tau_max, points = _number(tau_max, "tau_max"), _integer(points, "points")
+    if not tau_max > 0:   # finite, so inf and NaN fail
         raise ConfigError("tau_max must be positive")
-    if _integer(points, "points") < 1:
+    if points < 1:
         raise ConfigError("points must be >= 1")
     t0 = time.monotonic()
     taus = _grid(np.linspace, 0.0, tau_max, points)   # one point is tau = 0
     trace = _evaluate("g2_tau", params, taus, cfg)
     inputs = {"params": asdict(params), "cfg": asdict(cfg),
-              "tau_max": tau_max, "points": points, "output_path": str(output_path)}
+              "tau_max": tau_max, "points": points, "output_path": output_path}
     return _finish(output_path, ["tau", "g2"], np.column_stack([taus, trace]), [],
                    _probe("g2_tau", cfg, [taus], trace,
                           lambda coords: (params, coords[0])),
@@ -418,18 +424,12 @@ def run_g2tau(params: SystemParams, cfg: HilbertConfig, tau_max: float,
 OBSERVABLES = ("g2_analytic", "g2_numeric", "mandel_q", "g2_tau")
 
 
-def _axis_from_dict(raw: dict) -> AxisSpec:
-    return AxisSpec(**_parse_object(AxisSpec, raw, {
-        "parameter": _string, "min": _number, "max": _number,
-        "points": _integer, "scale": _string}, "axis"))
+def _axis_from_dict(raw: dict | None) -> AxisSpec | None:
+    return None if raw is None else AxisSpec(**_parse_object(AxisSpec, raw, "axis"))
 
 
 def sweep_spec_from_dict(raw: dict) -> SweepSpec:
     """Parse and validate a sweep spec JSON object; axis2 null is no axis."""
-    return SweepSpec(**_parse_object(SweepSpec, raw, {
-        "axis1": lambda value, _: _axis_from_dict(value),
-        "axis2": lambda value, _: None if value is None else _axis_from_dict(value),
-        "observable": _string,
-        "base": lambda value, _: params_from_dict(value),
-        "cfg": lambda value, _: hilbert_from_dict(value),
-        "output_path": _string}, "sweep"))
+    return SweepSpec(**_parse_object(SweepSpec, raw, "sweep", axis1=_axis_from_dict,
+                                     axis2=_axis_from_dict, base=params_from_dict,
+                                     cfg=hilbert_from_dict))

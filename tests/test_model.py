@@ -223,6 +223,26 @@ class TestSystemParams:
         with pytest.raises(ConfigError):
             SystemParams(**{"gamma": 1.0, "omega_b": 20.0, key: values})
 
+    @pytest.mark.parametrize("value", [
+        True, np.True_, "1", None, 1j, [0.5, 1.0], {"J": 1.0},
+        np.array([True, False]), np.array(["1", "2"]), np.array([1 + 1j, 2.0]),
+    ], ids=["bool", "numpy-bool", "str", "None", "complex", "list", "dict",
+            "bool-array", "str-array", "complex-array"])
+    def test_rejects_non_real_values(self, value):
+        with pytest.raises(ConfigError):
+            SystemParams(gamma=1.0, omega_b=20.0, J=value)
+        with pytest.raises(ConfigError):
+            SystemParams(gamma=value, omega_b=20.0)
+
+    def test_stores_floats(self):
+        """An int or numpy rate is stored as the float it equals."""
+        p = SystemParams(gamma=2, omega_b=np.int64(40), J=np.float32(0.5),
+                         K=np.float64(0.25), E=np.array([1, 2]))
+        assert [type(v) for k, v in vars(p).items() if k != "E"] == [float] * 10
+        assert p.replace(E=0.0) == SystemParams(gamma=2.0, omega_b=40.0, J=0.5,
+                                                K=0.25)
+        assert p.E.dtype == np.float64 and p.E.tolist() == [1.0, 2.0]
+
     def test_weak_drive_flag(self):
         assert not SystemParams(gamma=1.0, omega_b=1.0, E=0.05).weak_drive_warning
         assert SystemParams(gamma=1.0, omega_b=1.0, E=0.2).weak_drive_warning

@@ -92,7 +92,8 @@ class TestHilbertConfig:
         with pytest.raises(DimensionError):
             HilbertConfig(nm, np_)
 
-    @pytest.mark.parametrize("nm,np_", [(3.0, 3), (3, 4.0), (float("nan"), 3)])
+    @pytest.mark.parametrize("nm,np_", [(3.0, 3), (3, 4.0), (float("nan"), 3),
+                                        (True, 3), (5, False)])
     def test_rejects_non_integer(self, nm, np_):
         with pytest.raises(DimensionError, match="integers"):
             HilbertConfig(nm, np_)

@@ -3,6 +3,7 @@
 import json
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spinpb import (
     SweepSpec,
     SystemParams,
     build_liouvillian,
+    find_optimal_pairs,
     g2_analytic,
     g2_tau,
     g2_zero,
@@ -122,6 +124,30 @@ class TestSweepSpecValidation:
                       axis2=AxisSpec(second, 0, 2.0, 2),
                       observable="g2_analytic", base=cw_base(),
                       output_path=str(tmp_path / "x.csv"))
+
+    @pytest.mark.parametrize("name, value", [
+        ("axis1", {"parameter": "delta", "min": 0, "max": 1, "points": 3}),
+        ("axis1", None),
+        ("axis2", ("delta", 0, 1, 3)),
+        ("base", asdict(cw_base())),
+        ("base", cw_base().replace(E=np.array([0.001, 0.005]) * GAMMA)),
+        ("cfg", (3, 3)),
+        ("cfg", None),
+        ("observable", ["g2_analytic"]),
+        ("output_path", b"x.csv"),
+        ("output_path", None),
+    ], ids=["axis1-dict", "axis1-None", "axis2-tuple", "base-dict", "base-array",
+            "cfg-tuple", "cfg-None", "observable-list", "output_path-bytes",
+            "output_path-None"])
+    def test_mistyped_field_writes_nothing(self, tmp_path, name, value):
+        # each used to be accepted and fail later: AttributeError, or a
+        # TypeError in the hash after the CSV was written
+        fields = dict(axis1=AxisSpec("delta_over_omega_b", -0.8, 0.8, 3),
+                      observable="g2_analytic", base=cw_base(),
+                      output_path=str(tmp_path / "x.csv"))
+        with pytest.raises(ConfigError):
+            run_sweep(SweepSpec(**{**fields, name: value}))
+        assert not list(tmp_path.iterdir())
 
     def test_unknown_observable(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -663,6 +689,51 @@ class TestConfigHash:
             "delta_range": (-1.0, 1.0), "lambda_range": (0.0, 1.0e-5),
             "output_path": str(out)})
 
+    def test_json_and_python_inputs_hash_alike(self, tmp_path, monkeypatch):
+        """One sweep given as JSON and as Python objects: one hash and manifest.
+
+        The Python objects hold int bounds and rates, numpy integers and
+        floats, and a ``Path`` output; each is stored as the JSON value.
+        """
+        monkeypatch.chdir(tmp_path)
+        raw = {"axis1": {"parameter": "delta_over_omega_b", "min": -1, "max": 1,
+                         "points": 3},
+               "axis2": {"parameter": "K", "min": 0.1, "max": 1, "points": 2,
+                         "scale": "log"},
+               "observable": "g2_analytic",
+               "base": {"gamma": 2, "omega_b": 40, "J": 26, "E": 0.01,
+                        "Lambda": 1e-4},
+               "cfg": {"n_magnon": 4, "n_photon": 3}, "output_path": "map.csv"}
+        python = SweepSpec(
+            axis1=AxisSpec("delta_over_omega_b", np.int64(-1), 1, np.int32(3)),
+            axis2=AxisSpec("K", np.float64(0.1), np.int8(1), 2, "log"),
+            observable="g2_analytic",
+            base=SystemParams(gamma=np.int64(2), omega_b=40, J=np.float32(26),
+                              E=0.01, Lambda=np.float64(1e-4)),
+            cfg=HilbertConfig(np.int64(4), 3), output_path=Path("map.csv"))
+        given = sweep_spec_from_dict(raw)
+        assert python == given
+        written = []
+        for spec in (given, python):
+            manifest = run_sweep(spec)
+            record = json.loads(manifest_path_for("map.csv").read_text())
+            assert record["config_hash"] == manifest.config_hash
+            del record["timestamp"], record["duration_s"]
+            written.append((record, Path("map.csv").read_bytes()))
+        assert written[0] == written[1]
+        assert written[0][0]["config_hash"] == config_hash(raw | {
+            "axis1": {**raw["axis1"], "min": -1.0, "max": 1.0, "scale": "linear"},
+            "axis2": {**raw["axis2"], "max": 1.0},
+            "base": asdict(params_from_dict(raw["base"]))})
+
+    def test_runner_inputs_hash_as_checked(self, tmp_path, working_params):
+        """A numpy tau_max, a numpy count and a ``Path`` hash as their JSON values."""
+        p, cfg, out = cw_base(), HilbertConfig(3, 3), tmp_path / "run.csv"
+        assert run_g2tau(p, cfg, 1e-6, 2, str(out)).config_hash \
+            == run_g2tau(p, cfg, np.float64(1e-6), np.int16(2), out).config_hash
+        assert run_optimal(working_params, ["cw"], str(out)).config_hash \
+            == run_optimal(working_params, ["cw"], out).config_hash
+
     def test_hash_of_fixed_inputs_is_pinned(self, tmp_path, monkeypatch):
         """The hashes of one parsed sweep spec and one optimal input.
 
@@ -715,6 +786,25 @@ class TestConfigHash:
         out = tmp_path / ("scan.csv" if given == "axis-points" else "tau.csv")
         written = json.loads(manifest_path_for(out).read_text())
         assert manifest.config_hash == written["config_hash"] == expected.config_hash
+
+
+@pytest.mark.parametrize("call", ["build_liouvillian", "g2_tau",
+                                  "find_optimal_pairs", "run_optimal", "run_g2tau"])
+def test_single_point_engines_refuse_arrays(tmp_path, call):
+    """An array-valued point is a ConfigError, not numpy's ValueError.
+
+    ``g2_analytic`` and ``steady_amplitudes`` take arrays; these take one point.
+    """
+    point = cw_base().replace(delta=np.array([-0.5, 0.5]) * OMEGA_B)
+    cfg, out = HilbertConfig(3, 3), tmp_path / "x.csv"
+    run = {"build_liouvillian": lambda: build_liouvillian(point, cfg),
+           "g2_tau": lambda: g2_tau(point, cfg, [0.0, 1e-7]),
+           "find_optimal_pairs": lambda: find_optimal_pairs(point),
+           "run_optimal": lambda: run_optimal(point, ["cw"], out),
+           "run_g2tau": lambda: run_g2tau(point, cfg, 1e-6, 2, out)}[call]
+    with pytest.raises(ConfigError, match="one parameter point"):
+        run()
+    assert not list(tmp_path.iterdir())
 
 
 class TestRunG2Tau:
